@@ -12,7 +12,11 @@ counts far beyond the paper's 10-node room.  For each ``n`` it
   bugfix applied so the tables agree) — asserts its tables and query
   answers are **byte-identical** to the vectorized index on a
   randomized workload, and records the speedup;
-- times the online path one query at a time and through the batched
+- times the online path with the cache state controlled: *cold* — the
+  first refined query for each of a set of distinct loads, on an empty
+  result memo (the one-time scan tables are built beforehand, as the
+  serving daemon's warm start does) — and *warm* — the same loads asked
+  again, one query at a time and through the batched
   :meth:`~repro.core.consolidation.ConsolidationIndex.query_many`.
 
 Results land in ``benchmarks/results/consolidation_scale.json``
@@ -206,6 +210,7 @@ class _Entry:
     build_seconds: float
     baseline_build_seconds: Optional[float]
     speedup: Optional[float]
+    query_seconds_cold: float
     query_seconds_single: float
     query_seconds_batched: float
     identical_answers: Optional[bool]
@@ -277,16 +282,23 @@ def _measure(n: int, baseline_max: int) -> _Entry:
         identical = _identical(index, reference, loads)
         del reference  # free the per-status objects before the next size
 
-    # One-at-a-time online path (fresh loads: the memo must not answer).
-    singles = rng.uniform(0.1 * capacity, 0.8 * capacity, QUERIES)
+    # Cold: every load is new to the memo; the lazy scan tables are
+    # built first, outside the timer, as the daemon's warm start does.
+    index.warm()
+    fresh = rng.uniform(0.1 * capacity, 0.8 * capacity, QUERIES).tolist()
     start = time.perf_counter()
-    for load in singles.tolist():
+    for load in fresh:
+        index.query_refined(load)
+    cold_per_query = (time.perf_counter() - start) / QUERIES
+
+    # Warm: the same loads again, answered from the memo.
+    start = time.perf_counter()
+    for load in fresh:
         index.query_refined(load)
     single_per_query = (time.perf_counter() - start) / QUERIES
 
-    batched = rng.uniform(0.1 * capacity, 0.8 * capacity, QUERIES)
     start = time.perf_counter()
-    index.query_many(batched)
+    index.query_many(fresh)
     batched_per_query = (time.perf_counter() - start) / QUERIES
 
     return _Entry(
@@ -297,6 +309,7 @@ def _measure(n: int, baseline_max: int) -> _Entry:
         build_seconds=build,
         baseline_build_seconds=baseline,
         speedup=speedup,
+        query_seconds_cold=cold_per_query,
         query_seconds_single=single_per_query,
         query_seconds_batched=batched_per_query,
         identical_answers=identical,
@@ -432,7 +445,8 @@ def _table(entries: list[_Entry], sharded: list[_ShardedEntry]) -> str:
         "consolidation scale: vectorized Algorithm 1 vs pure-Python"
         " baseline",
         f"{'n':>5} {'events':>8} {'statuses':>10} {'build':>10} "
-        f"{'baseline':>10} {'speedup':>8} {'query':>10} {'batched':>10}",
+        f"{'baseline':>10} {'speedup':>8} {'cold':>10} {'warm':>10} "
+        f"{'batched':>10}",
     ]
     for e in entries:
         baseline = (
@@ -443,6 +457,7 @@ def _table(entries: list[_Entry], sharded: list[_ShardedEntry]) -> str:
         lines.append(
             f"{e.n:>5} {e.events:>8} {e.statuses:>10} "
             f"{e.build_seconds:>9.3f}s {baseline:>10} {speedup:>8} "
+            f"{1e6 * e.query_seconds_cold:>8.1f}us "
             f"{1e6 * e.query_seconds_single:>8.1f}us "
             f"{1e6 * e.query_seconds_batched:>8.1f}us"
         )
@@ -505,10 +520,12 @@ def test_consolidation_scale(benchmark, emit):
         # Where the baseline ran, the engines agreed byte for byte.
         assert entry.identical_answers in (True, None)
         # Batching must never lose to the one-at-a-time loop by much
-        # (it shares the same scan; the win is amortized dispatch).
+        # (it shares the same memo; the win is amortized dispatch).
         assert entry.query_seconds_batched <= 2.0 * max(
             entry.query_seconds_single, 1e-7
         )
+        # A memo hit must beat a scan.
+        assert entry.query_seconds_single <= entry.query_seconds_cold
         if entry.n >= SPEEDUP_AT and entry.speedup is not None:
             assert entry.speedup >= SPEEDUP_FLOOR, (
                 f"n={entry.n}: vectorized build only "

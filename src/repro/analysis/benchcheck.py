@@ -107,6 +107,7 @@ KIND_SPECS: dict[str, KindSpec] = {
         identity=("n",),
         metrics=(
             MetricSpec("build_seconds", "lower"),
+            MetricSpec("query_seconds_cold", "lower"),
             MetricSpec("query_seconds_batched", "lower"),
         ),
         sections=(

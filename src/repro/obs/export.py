@@ -160,8 +160,8 @@ def validate_bench_observability(document: Mapping) -> None:
 #: Keys every consolidation-scale entry must carry.
 _SCALE_ENTRY_KEYS = (
     "n", "events", "statuses", "queries", "build_seconds",
-    "baseline_build_seconds", "speedup", "query_seconds_single",
-    "query_seconds_batched", "identical_answers",
+    "baseline_build_seconds", "speedup", "query_seconds_cold",
+    "query_seconds_single", "query_seconds_batched", "identical_answers",
 )
 
 #: Keys every pod-sharded scale entry must carry.
@@ -190,8 +190,12 @@ def validate_consolidation_scale(document: Mapping) -> None:
               "build_seconds": <vectorized build, s>,
               "baseline_build_seconds": <pure-Python build, s> | null,
               "speedup": <baseline / vectorized> | null,
-              "query_seconds_single": <mean per one-at-a-time query, s>,
-              "query_seconds_batched": <mean per query via query_many, s>,
+              "query_seconds_cold": <mean per first query of a load on
+                                     an empty result memo, s>,
+              "query_seconds_single": <mean per repeated (memo-warm)
+                                       query, one at a time, s>,
+              "query_seconds_batched": <mean per repeated query via
+                                        query_many, s>,
               "identical_answers": true | null
             }, ...
           ],
@@ -257,8 +261,8 @@ def validate_consolidation_scale(document: Mapping) -> None:
                 )
         if entry["n"] < 1:
             raise ConfigurationError("entry 'n' must be at least 1")
-        for key in ("build_seconds", "query_seconds_single",
-                    "query_seconds_batched"):
+        for key in ("build_seconds", "query_seconds_cold",
+                    "query_seconds_single", "query_seconds_batched"):
             value = entry[key]
             if not isinstance(value, (int, float)) or value < 0.0:
                 raise ConfigurationError(

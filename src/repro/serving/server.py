@@ -44,6 +44,7 @@ from typing import Any, Mapping, Optional, Union
 
 from repro import obs
 from repro.core.closed_form import solve_closed_form
+from repro.core.consolidation import ConsolidationIndex
 from repro.core.optimizer import JointOptimizer
 from repro.errors import (
     ConfigurationError,
@@ -258,10 +259,13 @@ class AllocationServer:
     # ------------------------------------------------------------------ #
 
     def _warm_start(self) -> None:
-        """Force the index build (or ``.npz`` cache load) before the
-        first request, so no client pays the O(n^3 log n) cold start."""
+        """Force the index build (or ``.npz`` cache load) and the
+        refined scan's tables before the first request, so no client
+        pays the O(n^3 log n) cold start."""
         with obs.timed("serving/warm_start"):
             index = self.optimizer.query_index
+            if isinstance(index, ConsolidationIndex):
+                index.warm()
         self.index_statuses = index.status_count
         self.index_cache_key = getattr(index, "cache_key", None)
 

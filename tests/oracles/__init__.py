@@ -1,0 +1,1 @@
+"""Reference implementations kept as equivalence oracles for the tests."""

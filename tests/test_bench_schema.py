@@ -117,7 +117,8 @@ def _scale_entry(**overrides):
     entry = {
         "n": 20, "events": 150, "statuses": 3020, "queries": 64,
         "build_seconds": 0.01, "baseline_build_seconds": 0.2,
-        "speedup": 20.0, "query_seconds_single": 1e-4,
+        "speedup": 20.0, "query_seconds_cold": 2e-4,
+        "query_seconds_single": 1e-4,
         "query_seconds_batched": 5e-5, "identical_answers": True,
     }
     entry.update(overrides)
@@ -176,6 +177,8 @@ class TestConsolidationScaleSchema:
             {"build_seconds": -0.5},
             {"build_seconds": "fast"},
             {"queries": 1.5},
+            {"query_seconds_cold": -1e-4},
+            {"query_seconds_cold": None},
             # speedup / identical stamps must be null together with a
             # skipped baseline...
             {"baseline_build_seconds": None},
@@ -187,7 +190,8 @@ class TestConsolidationScaleSchema:
             {"identical_answers": None},
         ],
         ids=["n", "events", "build-neg", "build-type", "queries-type",
-             "null-baseline-speedup", "null-baseline-identical",
+             "cold-neg", "cold-null", "null-baseline-speedup",
+             "null-baseline-identical",
              "missing-speedup", "identical-false", "identical-null"],
     )
     def test_rejects_malformed_entries(self, overrides):
@@ -199,6 +203,12 @@ class TestConsolidationScaleSchema:
     def test_rejects_missing_entry_keys(self):
         document = _scale_document()
         del document["entries"][0]["speedup"]
+        with pytest.raises(ConfigurationError, match="missing"):
+            obs.validate_consolidation_scale(document)
+
+    def test_rejects_missing_cold_query_time(self):
+        document = _scale_document()
+        del document["entries"][0]["query_seconds_cold"]
         with pytest.raises(ConfigurationError, match="missing"):
             obs.validate_consolidation_scale(document)
 
