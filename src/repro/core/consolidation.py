@@ -514,6 +514,10 @@ class ConsolidationIndex:
         arr = np.asarray(self.pairs, dtype=np.float64)
         self._a = np.ascontiguousarray(arr[:, 0])
         self._b = np.ascontiguousarray(arr[:, 1])
+        # One ``int`` object per machine id: every ON set this index
+        # hands out is built from these, so answers kept by the memo
+        # and by callers share them instead of minting new ones.
+        self._ids = list(range(len(self.pairs)))
         # Lazy caches (filled on demand; never persisted).
         self._events_cache: Optional[list[Event]] = None
         self._row_by_time: Optional[dict[float, int]] = None
@@ -758,8 +762,10 @@ class ConsolidationIndex:
         return self._row_by_time[t]
 
     def _prefix_set(self, row: int, k: int) -> list[int]:
-        """The sorted ``k``-prefix of the order at table row ``row``."""
-        return np.sort(self._orders_mat[row, :k]).tolist()
+        """The sorted ``k``-prefix of the order at table row ``row``,
+        as this index's shared id objects."""
+        ids = self._ids
+        return [ids[i] for i in np.sort(self._orders_mat[row, :k]).tolist()]
 
     # ------------------------------------------------------------------ #
     # Algorithm 2

@@ -305,8 +305,9 @@ class JointOptimizer:
         if pods is not None:
             pods = max(1, min(pods, len(survivors)))
         obs.count("optimizer.survivor_index_builds")
+        pairs = self.model.ab_pairs()
         index = PodShardedIndex(
-            pairs=[self.model.ab_pairs()[i] for i in survivors],
+            pairs=[pairs[i] for i in survivors],
             w2=w2_eff,
             rho=rho,
             t_min=t_min,
@@ -368,7 +369,8 @@ class JointOptimizer:
             )
         w2_eff, rho = self._cost_coefficients()
         t_min, t_max = self._t_bounds()
-        pairs = [self.model.ab_pairs()[i] for i in survivors]
+        all_pairs = self.model.ab_pairs()
+        pairs = [all_pairs[i] for i in survivors]
         capacities = [self.model.capacities[i] for i in survivors]
         solver = (
             brute_force_subset if self.selection == "brute" else optimal_subset

@@ -238,6 +238,8 @@ class AllocationServer:
         self.max_loop_lag = 0.0
         self.index_statuses = 0
         self.index_cache_key: Optional[str] = None
+        #: Reply keys of the ``loads`` map, one string per machine id.
+        self._id_keys = [str(i) for i in range(optimizer.model.node_count)]
         #: Open request spans by ``trace_id`` (loop thread writes,
         #: compute thread annotates): ``{trace_id: (span, enqueued_at)}``.
         self._trace_pending: dict[int, tuple] = {}
@@ -691,16 +693,22 @@ class AllocationServer:
             obs.count("serving.coalesced", coalesced)
 
     def _allocation_payload(self, solution, method: str) -> dict:
+        # ``on_ids`` are the index's shared int objects (see
+        # ``solve_closed_form``); the reply keeps them, not copies.
+        on_ids = list(solution.on_ids)
+        keys = self._id_keys
         return {
             "method": method,
-            "on_ids": [int(i) for i in solution.on_ids],
-            "machines_on": len(solution.on_ids),
+            "on_ids": on_ids,
+            "machines_on": len(on_ids),
             "t_ac": float(solution.t_ac),
             "t_sp": float(solution.t_sp),
-            "loads": {
-                str(int(i)): float(solution.loads[i])
-                for i in solution.on_ids
-            },
+            "loads": dict(
+                zip(
+                    [keys[i] for i in on_ids],
+                    solution.loads[on_ids].tolist(),
+                )
+            ),
             "predicted_total_power": float(solution.predicted_total_power),
             "clamped": bool(solution.clamped),
             "repaired": bool(solution.repaired),
