@@ -55,7 +55,6 @@ Environment knobs (used by the CI bench-smoke job):
 from __future__ import annotations
 
 import bisect
-import json
 import os
 import pathlib
 import time
@@ -490,10 +489,8 @@ def test_consolidation_scale(benchmark, emit):
     )
     sharded = run_sharded_scale()
     document = _document(entries, sharded)
-    obs.validate_consolidation_scale(document)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "consolidation_scale.json").write_text(
-        json.dumps(document, indent=2) + "\n"
+    obs.write_consolidation_scale(
+        RESULTS_DIR / "consolidation_scale.json", document
     )
     emit("consolidation_scale", _table(entries, sharded))
 

@@ -47,7 +47,6 @@ Environment knobs (used by the CI serve-smoke job):
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -200,11 +199,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 def test_serving(benchmark, emit):
     document = benchmark.pedantic(run_serving, rounds=1, iterations=1)
-    obs.validate_serving(document)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "serving.json").write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    obs.write_serving(RESULTS_DIR / "serving.json", document)
     emit("serving", _table(document))
 
     by_clients: dict[int, dict] = {}

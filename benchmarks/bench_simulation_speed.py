@@ -25,7 +25,6 @@ Environment knob (used by the CI sim-bench-smoke job):
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -202,10 +201,8 @@ def test_simulation_speed(benchmark, emit):
         run_simulation_speed, rounds=1, iterations=1
     )
     document = _document(entries)
-    obs.validate_simulation_speed(document)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "simulation_speed.json").write_text(
-        json.dumps(document, indent=2) + "\n"
+    obs.write_simulation_speed(
+        RESULTS_DIR / "simulation_speed.json", document
     )
     emit("simulation_speed", _table(entries))
 

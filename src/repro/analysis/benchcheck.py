@@ -20,8 +20,16 @@ Design choices, in decreasing order of importance:
   run at ``machines=20`` is *skipped* against the committed
   ``machines=500`` baseline rather than producing meaningless ratios.
 - **New artifacts pass.**  A result with no committed baseline (or a
-  kind with no metric spec) is reported as ``new``/``skipped``, never
-  failed — the gate must not punish adding benchmarks.
+  kind with no gated section) is reported as ``new``/``skipped``, never
+  failed — the gate must not punish adding benchmarks.  A metric the
+  baseline lacks is ``skipped``; a metric the baseline has and the
+  result drops (or reports as a non-number, NaN or infinity) is a
+  ``regression``.
+
+What is gated comes from the artifact schema table,
+:data:`repro.obs.export.SCHEMAS`: each kind's context keys, and per
+gated section its identity keys and metrics with their better
+direction.  Every metric shares :data:`DEFAULT_TOLERANCE`.
 
 ``--update`` snapshots the current results as the new baselines.
 """
@@ -35,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.obs.export import NUMBER, SCHEMAS, Gate, Metric
 
 #: Degradation ratio a metric may reach before the gate fails.
 DEFAULT_TOLERANCE = 2.5
@@ -43,134 +52,17 @@ DEFAULT_TOLERANCE = 2.5
 VERDICTS = ("ok", "regression", "new", "skipped")
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """One gated metric: its name, better-direction, and tolerance."""
-
-    name: str
-    direction: str  # "lower" (latencies, seconds) or "higher" (rates)
-    tolerance: float = DEFAULT_TOLERANCE
-    #: How to treat a zero/negative baseline: "skip" (ratios are
-    #: meaningless for noisy timings) or "strict" — a zero baseline is
-    #: a *promise* (e.g. zero violation-seconds) and any nonzero
-    #: current value of a lower-is-better metric is a regression.
-    zero_baseline: str = "skip"
-
-    def verdict(self, baseline: float, current: float) -> str:
-        if baseline <= 0.0:
-            if self.zero_baseline == "strict" and self.direction == "lower":
-                return "regression" if current > baseline + 1e-9 else "ok"
-            return "skipped"
-        ratio = current / baseline
-        if self.direction == "lower":
-            return "regression" if ratio > self.tolerance else "ok"
-        return "regression" if ratio < 1.0 / self.tolerance else "ok"
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """An extra gated entry list under a top-level key ≠ ``entries``.
-
-    Sections are optional on both sides: a result without the section
-    (or a baseline predating it) yields ``new``/``skipped`` rows, never
-    a failure — same grandfathering rule as whole artifacts.
-    """
-
-    key: str
-    identity: tuple[str, ...]
-    metrics: tuple[MetricSpec, ...]
-
-
-@dataclass(frozen=True)
-class KindSpec:
-    """How to compare one artifact ``kind``: identity keys + metrics."""
-
-    identity: tuple[str, ...]
-    metrics: tuple[MetricSpec, ...]
-    context: tuple[str, ...] = ()  # top-level keys that must match
-    sections: tuple[SectionSpec, ...] = ()  # extra gated entry lists
-
-
-#: Per-kind comparison specs.  Kinds absent here are skipped, not
-#: failed — see the module docstring.
-KIND_SPECS: dict[str, KindSpec] = {
-    "serving": KindSpec(
-        identity=("clients", "batching"),
-        context=("machines",),
-        metrics=(
-            MetricSpec("latency_p50_ms", "lower"),
-            MetricSpec("latency_p99_ms", "lower"),
-            MetricSpec("requests_per_second", "higher"),
-        ),
-    ),
-    "consolidation-scale": KindSpec(
-        identity=("n",),
-        metrics=(
-            MetricSpec("build_seconds", "lower"),
-            MetricSpec("query_seconds_cold", "lower"),
-            MetricSpec("query_seconds_batched", "lower"),
-        ),
-        sections=(
-            SectionSpec(
-                key="sharded",
-                identity=("n", "pods"),
-                metrics=(
-                    MetricSpec("build_seconds", "lower"),
-                    MetricSpec("query_seconds_batched", "lower"),
-                ),
-            ),
-        ),
-    ),
-    "simulation-speed": KindSpec(
-        identity=("n",),
-        metrics=(
-            MetricSpec("steps_per_second_numpy", "higher"),
-        ),
-    ),
-    "cooling-plant": KindSpec(
-        identity=("site",),
-        context=("machines", "load_fraction"),
-        metrics=(
-            MetricSpec("pue", "lower"),
-            MetricSpec("total_energy_joules", "lower"),
-            MetricSpec("economizer_fraction", "higher"),
-        ),
-        sections=(
-            SectionSpec(
-                key="heat_wave",
-                identity=("site",),
-                metrics=(
-                    MetricSpec("wave_pue", "lower"),
-                    MetricSpec("wave_peak_w", "lower"),
-                ),
-            ),
-        ),
-    ),
-    "mpc": KindSpec(
-        identity=("scenario", "controller"),
-        context=("machines", "horizon"),
-        metrics=(
-            MetricSpec("violation_seconds", "lower"),
-            MetricSpec("energy_joules", "lower"),
-            MetricSpec("served_task_seconds", "higher"),
-        ),
-        sections=(
-            # The acceptance gate rides here: the committed baseline has
-            # MPC at zero violation-seconds on every scenario, so the
-            # strict zero-baseline rule turns *any* nonzero
-            # mpc_violation_seconds into a failure.
-            SectionSpec(
-                key="dominance",
-                identity=("scenario",),
-                metrics=(
-                    MetricSpec("mpc_violation_seconds", "lower",
-                               zero_baseline="strict"),
-                    MetricSpec("mpc_energy_joules", "lower"),
-                ),
-            ),
-        ),
-    ),
-}
+def _verdict(metric: Metric, baseline: float, current: float) -> str:
+    if baseline <= 0.0:
+        # Ratios are meaningless against a zero timing; a strict metric's
+        # zero baseline is a promise any increase breaks.
+        if metric.strict:
+            return "regression" if current > baseline + 1e-9 else "ok"
+        return "skipped"
+    ratio = current / baseline
+    if metric.better == "lower":
+        return "regression" if ratio > DEFAULT_TOLERANCE else "ok"
+    return "regression" if ratio < 1.0 / DEFAULT_TOLERANCE else "ok"
 
 
 @dataclass
@@ -235,40 +127,47 @@ def _compare_entries(
     artifact: str,
     baseline_list: list,
     current_list: list,
-    identity: tuple[str, ...],
-    metrics: tuple[MetricSpec, ...],
-    prefix: str = "",
+    gate: Gate,
 ) -> list[CheckRow]:
-    """Verdict rows for one identity-keyed entry list (or section)."""
+    """Verdict rows for one identity-keyed section."""
+    prefix = "" if gate.section == "entries" else f"{gate.section}:"
     baseline_entries = {
-        _entry_key(entry, identity): entry for entry in baseline_list
+        _entry_key(entry, gate.identity): entry for entry in baseline_list
     }
     rows: list[CheckRow] = []
     for entry in current_list:
-        subject = prefix + _subject(entry, identity)
-        base_entry = baseline_entries.get(_entry_key(entry, identity))
+        subject = prefix + _subject(entry, gate.identity)
+        base_entry = baseline_entries.get(_entry_key(entry, gate.identity))
         if base_entry is None:
             rows.append(
                 CheckRow(artifact, subject, "-", "new",
                          note="no baseline entry")
             )
             continue
-        for metric in metrics:
+        for metric in gate.metrics:
             base_value = base_entry.get(metric.name)
             value = entry.get(metric.name)
-            if not isinstance(base_value, (int, float)) or not isinstance(
-                value, (int, float)
-            ):
+            if not NUMBER.accepts(base_value):
                 rows.append(
                     CheckRow(artifact, subject, metric.name, "skipped",
                              note="metric missing")
                 )
                 continue
-            verdict = metric.verdict(float(base_value), float(value))
+            if not NUMBER.accepts(value):
+                # The baseline promised a number; a result that drops it
+                # must not read as a pass.
+                rows.append(
+                    CheckRow(artifact, subject, metric.name, "regression",
+                             baseline=float(base_value),
+                             note=f"result value {value!r} is not a "
+                                  "finite number")
+                )
+                continue
+            verdict = _verdict(metric, float(base_value), float(value))
             note = ""
             if verdict == "regression":
-                note = (f"{metric.direction}-is-better beyond "
-                        f"{metric.tolerance:g}x tolerance")
+                note = (f"{metric.better}-is-better beyond "
+                        f"{DEFAULT_TOLERANCE:g}x tolerance")
             rows.append(
                 CheckRow(artifact, subject, metric.name, verdict,
                          baseline=float(base_value),
@@ -282,8 +181,8 @@ def compare_documents(
 ) -> list[CheckRow]:
     """Per-metric verdict rows for one (baseline, result) artifact pair."""
     kind = current.get("kind")
-    spec = KIND_SPECS.get(str(kind))
-    if spec is None:
+    spec = SCHEMAS.get(str(kind))
+    if spec is None or not spec.gates:
         return [
             CheckRow(artifact, "-", "-", "skipped",
                      note=f"no gate spec for kind {kind!r}")
@@ -304,26 +203,16 @@ def compare_documents(
                           f"{baseline.get(key)!r}"),
                 )
             ]
-    rows = _compare_entries(
-        artifact,
-        baseline.get("entries", []),
-        current.get("entries", []),
-        spec.identity,
-        spec.metrics,
-    )
-    for section in spec.sections:
-        current_list = current.get(section.key)
+    rows = []
+    for gate in spec.gates:
+        current_list = current.get(gate.section)
         if not isinstance(current_list, list):
             continue  # result has no such section — nothing to gate
-        baseline_list = baseline.get(section.key)
+        baseline_list = baseline.get(gate.section)
         if not isinstance(baseline_list, list):
             baseline_list = []  # baseline predates it: rows come out "new"
         rows.extend(
-            _compare_entries(
-                artifact, baseline_list, current_list,
-                section.identity, section.metrics,
-                prefix=f"{section.key}:",
-            )
+            _compare_entries(artifact, baseline_list, current_list, gate)
         )
     if not rows:
         rows.append(

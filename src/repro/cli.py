@@ -749,24 +749,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         import pathlib
 
         from repro.analysis.report import render_dashboard
+        from repro.errors import ConfigurationError
         from repro.obs import TraceBuffer
+        from repro.obs.export import SCHEMAS
 
-        serving = None
-        serving_path = pathlib.Path(
-            args.serving or "benchmarks/results/serving.json"
-        )
-        if serving_path.exists():
-            serving = json.loads(serving_path.read_text())
-        elif args.serving:
-            print(f"no serving document at {serving_path}", file=sys.stderr)
-            return 2
-        mpc = None
-        mpc_path = pathlib.Path(args.mpc or "benchmarks/results/mpc.json")
-        if mpc_path.exists():
-            mpc = json.loads(mpc_path.read_text())
-        elif args.mpc:
-            print(f"no mpc document at {mpc_path}", file=sys.stderr)
-            return 2
+        documents = {}
+        for kind, given in (("serving", args.serving), ("mpc", args.mpc)):
+            path = pathlib.Path(given or f"benchmarks/results/{kind}.json")
+            documents[kind] = None
+            if not path.exists():
+                if given:
+                    print(f"no {kind} document at {path}", file=sys.stderr)
+                    return 2
+                continue
+            try:
+                documents[kind] = json.loads(path.read_text())
+                SCHEMAS[kind].validate(documents[kind])
+            except (OSError, ValueError, ConfigurationError) as exc:
+                print(f"{path}: not a valid {kind} document: {exc}",
+                      file=sys.stderr)
+                return 2
+        serving, mpc = documents["serving"], documents["mpc"]
         if args.trace:
             buffer = TraceBuffer.from_jsonl(
                 pathlib.Path(args.trace).read_text()

@@ -38,10 +38,12 @@ from repro.obs.export import (
     validate_serving,
     validate_simulation_speed,
     write_bench_observability,
+    write_consolidation_scale,
     write_cooling_plant,
     write_mpc,
     write_resilience,
     write_serving,
+    write_simulation_speed,
 )
 from repro.obs.metrics import (
     DEFAULT_HORIZONS,
@@ -146,10 +148,12 @@ __all__ = [
     "validate_resilience",
     "validate_serving",
     "validate_simulation_speed",
+    "write_consolidation_scale",
     "write_cooling_plant",
     "write_mpc",
     "write_resilience",
     "write_serving",
+    "write_simulation_speed",
     "render_prometheus",
     "validate_prometheus",
     # tracing

@@ -1,23 +1,28 @@
-"""Exporter glue: bench-results observability JSON and schema checks.
+"""Artifact schemas, the one validator and writer, and Prometheus text.
 
-The benchmark harness (``benchmarks/conftest.py``) enables observability
-for the whole session and, at teardown, writes
-``benchmarks/results/observability.json`` through
-:func:`write_bench_observability`.  The file is the machine-readable
-side of the perf trajectory: a ``stages`` map of wall-clock summaries
-for every instrumented span, plus the counter/gauge totals of the run.
+Seven JSON artifacts certify the reproduction's claims: the bench
+session's per-stage timings (``observability.json``), the Algorithm 1
+scale sweep, the integrator speed sweep, the serving benchmark, the
+fault and MPC campaigns, and the chiller-plant weather study.  Each
+artifact kind is one :class:`Kind` row of :data:`SCHEMAS`:
 
-:func:`validate_bench_observability` is the schema check wired into
-tier-1 (``tests/test_bench_schema.py``): any future change to the
-emitted shape must update the validator (and the documented schema in
-``docs/observability.md``) in the same PR, so drift is caught at test
-time rather than by a broken dashboard.
+- its header fields and its sections (lists or maps of rows), every
+  value a :class:`Field` with a type, a bound and a nullable flag;
+- a short list of named cross-field checks for the physics a field
+  type cannot state (energy that adds up, a dominance flag that agrees
+  with its own numbers);
+- the ``repro bench-check`` context keys and, per gated section, the
+  identity keys and gated metrics with their better direction
+  (:mod:`repro.analysis.benchcheck` reads them from here).
 
-The consolidation scale bench (``benchmarks/bench_consolidation_scale.py``)
-writes a second artifact, ``benchmarks/results/consolidation_scale.json``
-— per-``n`` build/query timings of the vectorized Algorithm 1 against
-the pure-Python reference — validated by
-:func:`validate_consolidation_scale` under the same drift contract.
+One walker (:meth:`Kind.validate`) checks every kind, and one writer
+(:meth:`Kind.write`) validates and writes sorted, NaN-free JSON.  The
+public ``validate_<kind>`` / ``write_<kind>`` names are bound from the
+table.  Keys a kind does not name are allowed, so a producer may carry
+a field before the schema checks it.  Every change to an emitted shape
+updates the table (and ``docs/observability.md``) in the same change;
+``tests/test_bench_schema.py`` and ``tests/test_artifact_schemas.py``
+catch drift at test time rather than in a broken dashboard.
 """
 
 from __future__ import annotations
@@ -26,18 +31,640 @@ import json
 import math
 import pathlib
 import re
-from typing import Iterable, Mapping, Optional, Union
+from typing import (
+    Any, Callable, Iterable, Mapping, NamedTuple, Optional, Union,
+)
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import SCHEMA_VERSION, MetricsRegistry
 from repro.obs.trace import TraceBuffer
 
-#: Keys every histogram summary must carry.
-_SUMMARY_KEYS = ("count", "total", "mean", "min", "max")
 
-#: Keys the optional trace summary must carry (all non-negative ints).
-_TRACE_KEYS = ("schema", "spans", "events", "dropped_spans",
-               "dropped_events", "violations")
+class Field(NamedTuple):
+    """The spec of one value: a type, an optional bound, nullability.
+
+    ``type`` is ``int``, ``number``, ``bool``, ``str`` (non-empty),
+    ``true`` (the constant), ``enum`` (one of ``values``), ``any``
+    (present, unchecked), ``row`` (a map with the fields ``of``), or a
+    ``list``/``map`` whose items each meet ``of`` — a :class:`Field`, or
+    a row given as ``{key: Field}``.  ``int`` and ``number`` reject
+    bools and non-finite values.  A list or map must be non-empty unless
+    ``empty``, and a map must carry every key in ``keys``.
+    """
+
+    type: str
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+    nullable: bool = False
+    optional: bool = False  # the key may be absent
+    values: tuple = ()
+    of: Any = None
+    keys: tuple = ()
+    empty: bool = False
+
+    def accepts(self, value: Any) -> bool:
+        """Whether a scalar ``value`` has this field's type and bound."""
+        if self.type == "any" or (value is None and self.nullable):
+            return True
+        if self.type == "true":
+            return value is True
+        if self.type == "bool":
+            return isinstance(value, bool)
+        if self.type == "str":
+            return isinstance(value, str) and bool(value)
+        if self.type == "enum":
+            return value in self.values
+        if isinstance(value, bool) or not isinstance(
+            value, int if self.type == "int" else (int, float)
+        ):
+            return False
+        return (
+            (isinstance(value, int) or math.isfinite(value))
+            and (self.ge is None or value >= self.ge)
+            and (self.gt is None or value > self.gt)
+            and (self.le is None or value <= self.le)
+        )
+
+    def describe(self) -> str:
+        """The type and bound in words, for error messages."""
+        noun = {
+            "int": "an int", "number": "a finite number", "bool": "a bool",
+            "str": "a non-empty str", "true": "true",
+            "enum": f"one of {list(self.values)}",
+        }[self.type]
+        bounds = [
+            f"{op} {bound:g}"
+            for op, bound in ((">=", self.ge), (">", self.gt),
+                              ("<=", self.le))
+            if bound is not None
+        ]
+        return " ".join([noun, " and ".join(bounds)]).strip() + (
+            " or null" if self.nullable else ""
+        )
+
+
+def nullable(field: Field) -> Field:
+    """``field``, also accepting ``null``."""
+    return field._replace(nullable=True)
+
+
+INT = Field("int")
+COUNT = Field("int", ge=0)
+POSITIVE_INT = Field("int", ge=1)
+NUMBER = Field("number")
+NON_NEGATIVE = Field("number", ge=0.0)
+POSITIVE = Field("number", gt=0.0)
+FRACTION = Field("number", gt=0.0, le=1.0)
+BOOL = Field("bool")
+NAME = Field("str")
+TRUE = Field("true")
+ANY = Field("any")
+
+
+def _check(path: str, value: Any, spec: Union[Field, Mapping]) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` meets ``spec``."""
+    if isinstance(spec, Mapping):  # a row: required keys, then each field
+        if not isinstance(value, Mapping):
+            raise ConfigurationError(f"{path} must be a map")
+        missing = [
+            key for key, field in spec.items()
+            if key not in value and not field.optional
+        ]
+        if missing:
+            raise ConfigurationError(f"{path} missing {missing}")
+        for key, field in spec.items():
+            if key in value:
+                _check(f"{path}.{key}", value[key], field)
+    elif value is None and spec.nullable:
+        return
+    elif spec.type == "row":
+        _check(path, value, spec.of)
+    elif spec.type in ("list", "map"):
+        shape = list if spec.type == "list" else Mapping
+        if not isinstance(value, shape) or not (value or spec.empty):
+            size = "" if spec.empty else "non-empty "
+            raise ConfigurationError(f"{path} must be a {size}{spec.type}")
+        missing = [k for k in spec.keys if k not in value]
+        if missing:
+            raise ConfigurationError(f"{path} missing {missing}")
+        items = value.items() if spec.type == "map" else enumerate(value)
+        for key, item in items:
+            _check(f"{path}[{key}]", item, spec.of)
+    elif not spec.accepts(value):
+        raise ConfigurationError(
+            f"{path} must be {spec.describe()}, got {value!r}"
+        )
+
+
+class Metric(NamedTuple):
+    """One metric ``repro bench-check`` gates, and its better direction."""
+
+    name: str
+    better: str  # "lower" (latencies, seconds) or "higher" (rates)
+    #: A zero baseline is a promise (zero violation-seconds): any value
+    #: above it regresses, where a ratio gate would skip it.
+    strict: bool = False
+
+
+class Gate(NamedTuple):
+    """A gated section: the keys naming a row, and its gated metrics."""
+
+    section: str
+    identity: tuple
+    metrics: tuple
+
+
+OBSERVABILITY = "observability"
+
+
+class Kind(NamedTuple):
+    """One artifact kind: its shape, cross-field checks and bench gates."""
+
+    name: str  # the document's "kind" stamp; observability carries none
+    header: dict
+    sections: dict
+    checks: tuple = ()
+    context: tuple = ()  # top-level keys a bench-check pair must share
+    gates: tuple = ()
+
+    def validate(self, document: Mapping) -> None:
+        """Raise :class:`ConfigurationError` unless ``document`` conforms."""
+        if not isinstance(document, Mapping):
+            raise ConfigurationError(f"{self.name} document must be a map")
+        schema = document.get("schema")
+        if isinstance(schema, bool) or schema != SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"unsupported {self.name} schema {schema!r} "
+                f"(expected {SCHEMA_VERSION})"
+            )
+        if self.name != OBSERVABILITY and document.get("kind") != self.name:
+            raise ConfigurationError(
+                f"not a {self.name} record (kind={document.get('kind')!r})"
+            )
+        _check(self.name, document, {**self.header, **self.sections})
+        for check in self.checks:
+            check(document)
+
+    def write(
+        self, path: Union[str, pathlib.Path], document: Mapping
+    ) -> pathlib.Path:
+        """Validate ``document`` and write it to ``path``; returns it."""
+        self.validate(document)
+        target = pathlib.Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(
+            json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        )
+        return target
+
+
+# ---------------------------------------------------------------------- #
+# Cross-field checks (run after every field has its type and bound)
+# ---------------------------------------------------------------------- #
+
+
+def _unique(section: str, key: str) -> Callable[[Mapping], None]:
+    def unique(document: Mapping) -> None:
+        values = [row[key] for row in document[section]]
+        if len(set(values)) != len(values):
+            raise ConfigurationError(
+                f"{section} {key} values must be unique"
+            )
+    return unique
+
+
+def _references(
+    section: str, key: str, target: str, target_key: str
+) -> Callable[[Mapping], None]:
+    def references(document: Mapping) -> None:
+        known = {row[target_key] for row in document[target]}
+        for row in document[section]:
+            if row[key] not in known:
+                raise ConfigurationError(
+                    f"{section} row references unknown {key} {row[key]!r}"
+                )
+    return references
+
+
+def _stage_mean_within_range(document: Mapping) -> None:
+    for name, stage in document["stages"].items():
+        if stage["count"] and not (
+            stage["min"] - 1e-12 <= stage["mean"] <= stage["max"] + 1e-12
+        ):
+            raise ConfigurationError(
+                f"stage {name!r} mean outside [min, max]"
+            )
+
+
+def _baseline_stamps_together(document: Mapping) -> None:
+    # The pure-Python baseline either ran (build time, speedup and the
+    # identical-answers stamp all set) or was skipped (all three null).
+    keys = ("baseline_build_seconds", "speedup", "identical_answers")
+    for entry in document["entries"]:
+        if len({entry[key] is None for key in keys}) > 1:
+            raise ConfigurationError(
+                f"entry n={entry['n']}: {list(keys)} must be all null "
+                "(baseline skipped) or all set"
+            )
+
+
+def _pods_within_machines(document: Mapping) -> None:
+    for entry in document.get("sharded") or ():
+        if entry["pods"] > entry["n"]:
+            raise ConfigurationError(
+                "sharded entry 'pods' cannot exceed 'n'"
+            )
+
+
+def _graced_within_raw(document: Mapping) -> None:
+    for scenario in document["scenarios"]:
+        for controller, row in scenario["controllers"].items():
+            if (row["violation_seconds_after_grace"]
+                    > row["violation_seconds"] + 1e-9):
+                raise ConfigurationError(
+                    f"{scenario['name']}/{controller}: grace-filtered "
+                    "violations exceed the raw count"
+                )
+
+
+def _p50_within_p99(document: Mapping) -> None:
+    for entry in document["entries"]:
+        if entry["latency_p50_ms"] > entry["latency_p99_ms"] + 1e-9:
+            raise ConfigurationError("entry p50 latency exceeds p99")
+
+
+def _histogram_accounts_for_requests(document: Mapping) -> None:
+    for entry in document["entries"]:
+        histogram = entry["batch_size_histogram"]
+        if not all(isinstance(size, str) and size.isdigit()
+                   and int(size) >= 1 for size in histogram):
+            raise ConfigurationError(
+                "batch_size_histogram keys must be positive integer strings"
+            )
+        accounted = sum(int(size) * n for size, n in histogram.items())
+        if accounted != entry["requests"]:
+            raise ConfigurationError(
+                f"batch_size_histogram accounts for {accounted} "
+                f"requests, entry reports {entry['requests']}"
+            )
+
+
+def _clients_paired(document: Mapping) -> None:
+    # The artifact's point is the paired comparison: every client count
+    # appears exactly twice, once batched and once not.
+    modes: dict = {}
+    for entry in document["entries"]:
+        modes.setdefault(entry["clients"], []).append(entry["batching"])
+    for clients, seen in sorted(modes.items()):
+        if sorted(seen) != [False, True]:
+            raise ConfigurationError(
+                f"clients={clients} must appear exactly twice (batching "
+                f"on and off), got {len(seen)} entries"
+            )
+
+
+def _entries_cover_product(document: Mapping) -> None:
+    expected = {
+        (scenario["name"], controller)
+        for scenario in document["scenarios"]
+        for controller in MPC_CONTROLLERS
+    }
+    seen = {(e["scenario"], e["controller"]) for e in document["entries"]}
+    if seen != expected:
+        raise ConfigurationError(
+            "'entries' must cover exactly the scenario x controller "
+            f"product (missing {sorted(expected - seen)}, "
+            f"extra {sorted(seen - expected)})"
+        )
+
+
+def _one_dominance_row_per_scenario(document: Mapping) -> None:
+    if len(document["dominance"]) != len(document["scenarios"]):
+        raise ConfigurationError(
+            "'dominance' must list one row per scenario"
+        )
+
+
+def _dominance_flags_agree(document: Mapping) -> None:
+    # Dominance: strictly fewer violation-seconds at equal-or-lower
+    # energy.  Whether a flash crowd dominates is the bench gate, not a
+    # schema property; the schema only checks each flag's consistency.
+    for row in document["dominance"]:
+        implied = (
+            row["mpc_violation_seconds"] < row["reactive_violation_seconds"]
+            and row["mpc_energy_joules"] <= row["reactive_energy_joules"]
+        )
+        if row["dominates"] != implied:
+            raise ConfigurationError(
+                f"dominance row {row['scenario']!r}: 'dominates' flag "
+                "disagrees with its own numbers"
+            )
+
+
+def _served_within_offered(document: Mapping) -> None:
+    rows = list(document["entries"])
+    for scenario in document["scenarios"]:
+        rows.extend(scenario["controllers"].values())
+    for row in rows:
+        if row["served_task_seconds"] > row["offered_task_seconds"] + 1e-6:
+            raise ConfigurationError("served task-seconds exceed offered")
+
+
+def _energy_adds_up(document: Mapping) -> None:
+    for entry in document["entries"]:
+        total = entry["it_energy_joules"] + entry["cooling_energy_joules"]
+        if abs(total - entry["total_energy_joules"]) > 1e-6 * max(total, 1.0):
+            raise ConfigurationError(
+                f"site {entry['site']!r}: total energy does not equal "
+                "IT + cooling"
+            )
+
+
+def _water_with_wue(document: Mapping) -> None:
+    for entry in document["entries"]:
+        if (entry["water_liters"] is None) != (entry["wue_l_per_kwh"] is None):
+            raise ConfigurationError(
+                f"site {entry['site']!r}: 'water_liters' and "
+                "'wue_l_per_kwh' must be both present or both null"
+            )
+
+
+def _penalty_matches_pues(document: Mapping) -> None:
+    for wave in document["heat_wave"]:
+        implied = wave["wave_pue"] - wave["baseline_pue"]
+        if abs(wave["pue_penalty"] - implied) > 1e-9:
+            raise ConfigurationError(
+                f"heat-wave {wave['site']!r}: 'pue_penalty' disagrees "
+                "with its own PUE numbers"
+            )
+
+
+# ---------------------------------------------------------------------- #
+# The table
+# ---------------------------------------------------------------------- #
+
+RESILIENCE_CONTROLLERS = ("naive", "resilient", "oracle")
+MPC_CONTROLLERS = ("reactive", "resilient", "mpc", "oracle")
+
+#: The tangent re-linearization of Eq. 10 is exact at its operating
+#: point; a gap beyond float round-off means the seam between the plant
+#: and the optimizer leaks.
+LINEARIZATION_GAP_TOLERANCE = 1e-6
+
+_STAGE = {"count": COUNT, "total": NUMBER, "mean": NUMBER, "min": NUMBER,
+          "max": NUMBER}
+_TRACE = dict.fromkeys(("schema", "spans", "events", "dropped_spans",
+                        "dropped_events", "violations"), COUNT)
+
+#: Per-controller metrics the fault and MPC campaigns share.
+_CONTROLLER_ROW = {
+    "violation_seconds": NON_NEGATIVE, "energy_joules": NON_NEGATIVE,
+    "energy_overhead_vs_oracle": nullable(NUMBER),
+    "offered_task_seconds": NON_NEGATIVE,
+    "served_task_seconds": NON_NEGATIVE, "shed_task_seconds": NON_NEGATIVE,
+    "reconfigurations": COUNT, "suppressed": COUNT, "max_t_cpu": NUMBER,
+}
+_RESILIENCE_ROW = {
+    **_CONTROLLER_ROW, "violation_seconds_after_grace": NON_NEGATIVE,
+    "recovery_seconds": nullable(NON_NEGATIVE), "safe_mode_entries": COUNT,
+    "sensors_quarantined": COUNT,
+}
+_MPC_ROW = {**_CONTROLLER_ROW, "on_set_changes": COUNT,
+            "horizon_solves": COUNT, "fallbacks": COUNT, "precools": COUNT}
+
+SCHEMAS: dict[str, Kind] = {kind.name: kind for kind in (
+    Kind(
+        OBSERVABILITY,
+        header={"runs": COUNT,
+                "trace": Field("row", of=_TRACE, optional=True)},
+        sections={
+            "stages": Field("map", of=_STAGE, empty=True),
+            "counters": Field("map", of=NUMBER, empty=True),
+            "gauges": Field("map", of=NUMBER, empty=True),
+        },
+        checks=(_stage_mean_within_range,),
+    ),
+    Kind(
+        "consolidation-scale",
+        header={"seed": INT},
+        sections={
+            "entries": Field("list", of={
+                "n": POSITIVE_INT, "events": COUNT, "statuses": COUNT,
+                "queries": COUNT, "build_seconds": NON_NEGATIVE,
+                "baseline_build_seconds": nullable(NON_NEGATIVE),
+                "speedup": nullable(NON_NEGATIVE),
+                "query_seconds_cold": NON_NEGATIVE,
+                "query_seconds_single": NON_NEGATIVE,
+                "query_seconds_batched": NON_NEGATIVE,
+                "identical_answers": nullable(TRUE),
+            }),
+            "sharded": Field("list", optional=True, nullable=True, of={
+                "n": POSITIVE_INT, "pods": POSITIVE_INT,
+                "statuses": POSITIVE_INT, "queries": POSITIVE_INT,
+                "build_seconds": NON_NEGATIVE,
+                "query_seconds_single": NON_NEGATIVE,
+                "query_seconds_batched": NON_NEGATIVE,
+                "max_load_seconds": NON_NEGATIVE,
+                # null above the exact-comparison cutoff
+                "exact_gap": nullable(NUMBER),
+                # may be negative: an annealed subset can win where
+                # capacities bind
+                "anneal_gap": NUMBER, "anneal_seconds": NON_NEGATIVE,
+            }),
+        },
+        checks=(_baseline_stamps_together, _pods_within_machines),
+        gates=(
+            Gate("entries", ("n",), (
+                Metric("build_seconds", "lower"),
+                Metric("query_seconds_cold", "lower"),
+                Metric("query_seconds_batched", "lower"),
+            )),
+            Gate("sharded", ("n", "pods"), (
+                Metric("build_seconds", "lower"),
+                Metric("query_seconds_batched", "lower"),
+            )),
+        ),
+    ),
+    Kind(
+        "simulation-speed",
+        header={"seed": INT, "dt": POSITIVE},
+        sections={
+            "entries": Field("list", of={
+                "n": POSITIVE_INT, "steps_numpy": POSITIVE_INT,
+                "steps_python": POSITIVE_INT, "seconds_numpy": POSITIVE,
+                "seconds_python": POSITIVE,
+                "steps_per_second_numpy": POSITIVE,
+                "steps_per_second_python": POSITIVE, "speedup": POSITIVE,
+                # both engines finished the seeded scenario bit-identical
+                "identical_trajectory": TRUE,
+            }),
+        },
+        gates=(
+            Gate("entries", ("n",),
+                 (Metric("steps_per_second_numpy", "higher"),)),
+        ),
+    ),
+    Kind(
+        "serving",
+        header={"seed": INT, "machines": POSITIVE_INT,
+                "index_statuses": POSITIVE_INT, "levels": POSITIVE_INT,
+                "warm_start_seconds": NON_NEGATIVE},
+        sections={
+            "entries": Field("list", of={
+                "clients": POSITIVE_INT, "batching": BOOL,
+                "batch_window_seconds": NON_NEGATIVE,
+                "max_batch": POSITIVE_INT, "requests": POSITIVE_INT,
+                "errors": COUNT, "duration_seconds": POSITIVE,
+                "requests_per_second": POSITIVE,
+                "latency_mean_ms": POSITIVE, "latency_p50_ms": POSITIVE,
+                "latency_p99_ms": POSITIVE, "batches": POSITIVE_INT,
+                "mean_batch_size": Field("number", ge=1.0),
+                "max_batch_size": POSITIVE_INT, "coalesced": COUNT,
+                # served allocations cross-checked against the library
+                "identical_answers": TRUE,
+                "batch_size_histogram": Field("map", of=POSITIVE_INT),
+            }),
+        },
+        checks=(_p50_within_p99, _histogram_accounts_for_requests,
+                _clients_paired),
+        context=("machines",),
+        gates=(
+            Gate("entries", ("clients", "batching"), (
+                Metric("latency_p50_ms", "lower"),
+                Metric("latency_p99_ms", "lower"),
+                Metric("requests_per_second", "higher"),
+            )),
+        ),
+    ),
+    Kind(
+        "resilience",
+        header={"seed": INT, "machines": INT, "grace_steps": INT,
+                "control_dt": POSITIVE, "sim_dt": POSITIVE},
+        sections={
+            "scenarios": Field("list", of={
+                "name": NAME, "load_fraction": FRACTION,
+                "duration": POSITIVE, "fault_transitions": COUNT,
+                "controllers": Field("map", of=_RESILIENCE_ROW,
+                                     keys=RESILIENCE_CONTROLLERS),
+            }),
+        },
+        checks=(_graced_within_raw,),
+    ),
+    Kind(
+        "mpc",
+        header={"seed": INT, "machines": POSITIVE_INT,
+                "horizon": POSITIVE_INT, "control_dt": POSITIVE,
+                "sim_dt": POSITIVE},
+        sections={
+            "scenarios": Field("list", of={
+                "name": NAME, "flash_crowd": BOOL, "duration": POSITIVE,
+                "peak_load_fraction": Field("number", gt=0.0, nullable=True,
+                                            optional=True),
+                "controllers": Field("map", of=_MPC_ROW,
+                                     keys=MPC_CONTROLLERS),
+            }),
+            "entries": Field("list", of={
+                "scenario": NAME,
+                "controller": Field("enum", values=MPC_CONTROLLERS),
+                **_MPC_ROW,
+            }),
+            "dominance": Field("list", of={
+                "scenario": NAME, "flash_crowd": BOOL,
+                "mpc_violation_seconds": NON_NEGATIVE,
+                "reactive_violation_seconds": NON_NEGATIVE,
+                "mpc_energy_joules": NON_NEGATIVE,
+                "reactive_energy_joules": NON_NEGATIVE, "dominates": BOOL,
+            }),
+        },
+        checks=(
+            _unique("scenarios", "name"),
+            _references("entries", "scenario", "scenarios", "name"),
+            _entries_cover_product,
+            _one_dominance_row_per_scenario,
+            _references("dominance", "scenario", "scenarios", "name"),
+            _dominance_flags_agree,
+            _served_within_offered,
+        ),
+        context=("machines", "horizon"),
+        gates=(
+            Gate("entries", ("scenario", "controller"), (
+                Metric("violation_seconds", "lower"),
+                Metric("energy_joules", "lower"),
+                Metric("served_task_seconds", "higher"),
+            )),
+            # The acceptance gate: the committed baseline has MPC at zero
+            # violation-seconds on every scenario, so any nonzero value
+            # fails.
+            Gate("dominance", ("scenario",), (
+                Metric("mpc_violation_seconds", "lower", strict=True),
+                Metric("mpc_energy_joules", "lower"),
+            )),
+        ),
+    ),
+    Kind(
+        "cooling-plant",
+        header={"seed": INT, "machines": POSITIVE_INT,
+                "load_fraction": FRACTION, "quick": BOOL},
+        sections={
+            "entries": Field("list", of={
+                "site": NAME, "description": ANY,
+                "buckets": POSITIVE_INT, "bucket_seconds": POSITIVE,
+                "it_energy_joules": POSITIVE,
+                "cooling_energy_joules": POSITIVE,
+                "total_energy_joules": POSITIVE,
+                "pue": Field("number", ge=1.0),
+                "water_liters": nullable(NON_NEGATIVE),
+                "wue_l_per_kwh": nullable(NON_NEGATIVE),
+                "economizer_fraction": Field("number", ge=0.0, le=1.0),
+                "mode_switches": COUNT, "mean_cop": POSITIVE,
+                "linearization_gap": Field(
+                    "number", ge=0.0, le=LINEARIZATION_GAP_TOLERANCE
+                ),
+            }),
+            "heat_wave": Field("list", of={
+                "site": NAME, "amplitude_k": POSITIVE,
+                "baseline_pue": POSITIVE, "wave_pue": POSITIVE,
+                "pue_penalty": NUMBER, "baseline_peak_w": POSITIVE,
+                "wave_peak_w": POSITIVE,
+            }),
+        },
+        checks=(
+            _energy_adds_up,
+            _water_with_wue,
+            _unique("entries", "site"),
+            _references("heat_wave", "site", "entries", "site"),
+            _penalty_matches_pues,
+        ),
+        context=("machines", "load_fraction"),
+        gates=(
+            Gate("entries", ("site",), (
+                Metric("pue", "lower"),
+                Metric("total_energy_joules", "lower"),
+                Metric("economizer_fraction", "higher"),
+            )),
+            Gate("heat_wave", ("site",), (
+                Metric("wave_pue", "lower"),
+                Metric("wave_peak_w", "lower"),
+            )),
+        ),
+    ),
+)}
+
+validate_bench_observability = SCHEMAS[OBSERVABILITY].validate
+validate_consolidation_scale = SCHEMAS["consolidation-scale"].validate
+validate_simulation_speed = SCHEMAS["simulation-speed"].validate
+validate_serving = SCHEMAS["serving"].validate
+validate_resilience = SCHEMAS["resilience"].validate
+validate_mpc = SCHEMAS["mpc"].validate
+validate_cooling_plant = SCHEMAS["cooling-plant"].validate
+write_consolidation_scale = SCHEMAS["consolidation-scale"].write
+write_simulation_speed = SCHEMAS["simulation-speed"].write
+write_serving = SCHEMAS["serving"].write
+write_resilience = SCHEMAS["resilience"].write
+write_mpc = SCHEMAS["mpc"].write
+write_cooling_plant = SCHEMAS["cooling-plant"].write
 
 
 def bench_observability(
@@ -45,21 +672,11 @@ def bench_observability(
 ) -> dict:
     """The bench-results observability document for ``registry``.
 
-    Shape (see ``docs/observability.md`` for the worked schema)::
-
-        {
-          "schema": 1,
-          "stages": {"<span path>": {count,total,mean,min,max}, ...},
-          "counters": {"<name>": <total>, ...},
-          "gauges": {"<name>": <value>, ...},
-          "runs": <number of completed run records>,
-          "trace": {schema, spans, events, dropped_spans,
-                    dropped_events, violations}        # when traced
-        }
-
-    The ``trace`` section appears only when a non-empty
-    :class:`~repro.obs.trace.TraceBuffer` is passed — the bench session
-    includes it when any bench ran with tracing on.
+    A ``stages`` map of wall-clock summaries for every instrumented
+    span, the counter and gauge totals, the number of completed run
+    records, and — when a non-empty
+    :class:`~repro.obs.trace.TraceBuffer` is passed — its ``trace``
+    summary (see ``docs/observability.md`` for a worked example).
     """
     snapshot = registry.snapshot()
     document = {
@@ -80,1158 +697,9 @@ def write_bench_observability(
     trace: Optional[TraceBuffer] = None,
 ) -> pathlib.Path:
     """Write the per-stage timing document to ``path``; returns it."""
-    target = pathlib.Path(path)
-    document = bench_observability(registry, trace=trace)
-    validate_bench_observability(document)
-    target.write_text(json.dumps(document, indent=2) + "\n")
-    return target
-
-
-def validate_bench_observability(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` conforms.
-
-    Checks the contract downstream tooling relies on: the schema stamp,
-    a ``stages`` timing map whose entries are complete histogram
-    summaries with coherent statistics, and numeric counter/gauge maps.
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError("observability document must be a mapping")
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported observability schema {document.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    stages = document.get("stages")
-    if not isinstance(stages, Mapping):
-        raise ConfigurationError("'stages' timing map missing")
-    for name, summary in stages.items():
-        if not isinstance(summary, Mapping):
-            raise ConfigurationError(f"stage {name!r} summary must be a map")
-        missing = [k for k in _SUMMARY_KEYS if k not in summary]
-        if missing:
-            raise ConfigurationError(
-                f"stage {name!r} summary missing {missing}"
-            )
-        count = summary["count"]
-        if not isinstance(count, int) or count < 0:
-            raise ConfigurationError(
-                f"stage {name!r} count must be a non-negative int"
-            )
-        for key in ("total", "mean", "min", "max"):
-            if not isinstance(summary[key], (int, float)):
-                raise ConfigurationError(
-                    f"stage {name!r} {key} must be numeric"
-                )
-        if count and not (
-            summary["min"] - 1e-12
-            <= summary["mean"]
-            <= summary["max"] + 1e-12
-        ):
-            raise ConfigurationError(
-                f"stage {name!r} mean outside [min, max]"
-            )
-    for section in ("counters", "gauges"):
-        values = document.get(section)
-        if not isinstance(values, Mapping):
-            raise ConfigurationError(f"{section!r} map missing")
-        for name, value in values.items():
-            if not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"{section} entry {name!r} must be numeric"
-                )
-    runs = document.get("runs")
-    if not isinstance(runs, int) or runs < 0:
-        raise ConfigurationError("'runs' must be a non-negative int")
-    if "trace" in document:
-        trace = document["trace"]
-        if not isinstance(trace, Mapping):
-            raise ConfigurationError("'trace' summary must be a map")
-        missing = [k for k in _TRACE_KEYS if k not in trace]
-        if missing:
-            raise ConfigurationError(f"trace summary missing {missing}")
-        for key in _TRACE_KEYS:
-            value = trace[key]
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"trace {key!r} must be a non-negative int"
-                )
-
-
-#: Keys every consolidation-scale entry must carry.
-_SCALE_ENTRY_KEYS = (
-    "n", "events", "statuses", "queries", "build_seconds",
-    "baseline_build_seconds", "speedup", "query_seconds_cold",
-    "query_seconds_single", "query_seconds_batched", "identical_answers",
-)
-
-#: Keys every pod-sharded scale entry must carry.
-_SCALE_SHARDED_KEYS = (
-    "n", "pods", "statuses", "queries", "build_seconds",
-    "query_seconds_single", "query_seconds_batched",
-    "max_load_seconds", "exact_gap", "anneal_gap", "anneal_seconds",
-)
-
-
-def validate_consolidation_scale(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` is a valid
-    consolidation-scale record.
-
-    Shape (written by ``benchmarks/bench_consolidation_scale.py`` to
-    ``benchmarks/results/consolidation_scale.json``)::
-
-        {
-          "schema": 1,
-          "kind": "consolidation-scale",
-          "seed": <int>,
-          "entries": [
-            {
-              "n": <machines>, "events": <int>, "statuses": <int>,
-              "queries": <int>,
-              "build_seconds": <vectorized build, s>,
-              "baseline_build_seconds": <pure-Python build, s> | null,
-              "speedup": <baseline / vectorized> | null,
-              "query_seconds_cold": <mean per first query of a load on
-                                     an empty result memo, s>,
-              "query_seconds_single": <mean per repeated (memo-warm)
-                                       query, one at a time, s>,
-              "query_seconds_batched": <mean per repeated query via
-                                        query_many, s>,
-              "identical_answers": true | null
-            }, ...
-          ],
-          "sharded": [            # optional pod-sharded sweep
-            {
-              "n": <machines>, "pods": <int>, "statuses": <int>,
-              "queries": <int>,
-              "build_seconds": <sharded build, s>,
-              "query_seconds_single": <mean per fresh query, s>,
-              "query_seconds_batched": <mean per query via query_many, s>,
-              "max_load_seconds": <one maxL call, s>,
-              "exact_gap": <worst signed relative power gap vs the
-                            monolithic scan> | null,
-              "anneal_gap": <mean signed relative gap of the sharded
-                             answer vs a seeded annealing baseline>,
-              "anneal_seconds": <total anneal wall time, s>
-            }, ...
-          ]
-        }
-
-    ``baseline_build_seconds`` / ``speedup`` / ``identical_answers`` are
-    ``null`` for sizes where the pure-Python baseline was skipped; when
-    the baseline ran, ``identical_answers`` records that both engines
-    returned byte-identical tables and query answers (the bench asserts
-    it, the schema requires the stamp to be present and true).
-
-    In the ``sharded`` section ``exact_gap`` is ``null`` above the
-    exact-comparison cutoff, and ``anneal_gap`` may be *negative*: the
-    prefix scans skip capacity-infeasible ratio-optimal prefixes, so a
-    same-size annealed subset can legitimately win where capacities
-    bind (the bench bounds, not signs, the gap).
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError(
-            "consolidation-scale document must be a mapping"
-        )
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported consolidation-scale schema "
-            f"{document.get('schema')!r} (expected {SCHEMA_VERSION})"
-        )
-    if document.get("kind") != "consolidation-scale":
-        raise ConfigurationError(
-            f"not a consolidation-scale record "
-            f"(kind={document.get('kind')!r})"
-        )
-    if not isinstance(document.get("seed"), int):
-        raise ConfigurationError("'seed' must be an int")
-    entries = document.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigurationError("'entries' must be a non-empty list")
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError("each entry must be a map")
-        missing = [k for k in _SCALE_ENTRY_KEYS if k not in entry]
-        if missing:
-            raise ConfigurationError(f"entry missing {missing}")
-        for key in ("n", "events", "statuses", "queries"):
-            value = entry[key]
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a non-negative int"
-                )
-        if entry["n"] < 1:
-            raise ConfigurationError("entry 'n' must be at least 1")
-        for key in ("build_seconds", "query_seconds_cold",
-                    "query_seconds_single", "query_seconds_batched"):
-            value = entry[key]
-            if not isinstance(value, (int, float)) or value < 0.0:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a non-negative number"
-                )
-        baseline = entry["baseline_build_seconds"]
-        speedup = entry["speedup"]
-        identical = entry["identical_answers"]
-        if baseline is None:
-            if speedup is not None or identical is not None:
-                raise ConfigurationError(
-                    "'speedup' and 'identical_answers' must be null "
-                    "when the baseline was skipped"
-                )
-        else:
-            if not isinstance(baseline, (int, float)) or baseline < 0.0:
-                raise ConfigurationError(
-                    "'baseline_build_seconds' must be a non-negative "
-                    "number or null"
-                )
-            if not isinstance(speedup, (int, float)) or speedup < 0.0:
-                raise ConfigurationError(
-                    "'speedup' must accompany a measured baseline"
-                )
-            if identical is not True:
-                raise ConfigurationError(
-                    "'identical_answers' must be true when the baseline "
-                    "ran — engines disagreed or the stamp is missing"
-                )
-    sharded = document.get("sharded")
-    if sharded is None:
-        return
-    if not isinstance(sharded, list) or not sharded:
-        raise ConfigurationError(
-            "'sharded' must be a non-empty list when present"
-        )
-    for entry in sharded:
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError("each sharded entry must be a map")
-        missing = [k for k in _SCALE_SHARDED_KEYS if k not in entry]
-        if missing:
-            raise ConfigurationError(f"sharded entry missing {missing}")
-        for key in ("n", "pods", "statuses", "queries"):
-            value = entry[key]
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(
-                    f"sharded entry {key!r} must be a positive int"
-                )
-        if entry["pods"] > entry["n"]:
-            raise ConfigurationError(
-                "sharded entry 'pods' cannot exceed 'n'"
-            )
-        for key in ("build_seconds", "query_seconds_single",
-                    "query_seconds_batched", "max_load_seconds",
-                    "anneal_seconds"):
-            value = entry[key]
-            if not isinstance(value, (int, float)) or value < 0.0:
-                raise ConfigurationError(
-                    f"sharded entry {key!r} must be a non-negative number"
-                )
-        exact_gap = entry["exact_gap"]
-        if exact_gap is not None and not isinstance(exact_gap, (int, float)):
-            raise ConfigurationError(
-                "sharded entry 'exact_gap' must be a number or null"
-            )
-        if not isinstance(entry["anneal_gap"], (int, float)):
-            raise ConfigurationError(
-                "sharded entry 'anneal_gap' must be a number"
-            )
-
-
-#: Controllers every resilience scenario must report.
-_RESILIENCE_CONTROLLERS = ("naive", "resilient", "oracle")
-
-#: Metric keys every per-controller resilience row must carry.
-_RESILIENCE_ROW_KEYS = (
-    "violation_seconds", "violation_seconds_after_grace",
-    "recovery_seconds", "energy_joules", "energy_overhead_vs_oracle",
-    "offered_task_seconds", "served_task_seconds", "shed_task_seconds",
-    "reconfigurations", "suppressed", "safe_mode_entries",
-    "sensors_quarantined", "max_t_cpu",
-)
-
-
-def validate_resilience(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` is a valid
-    fault-campaign record.
-
-    Shape (written by ``repro faults`` to
-    ``benchmarks/results/resilience.json``; built by
-    :func:`repro.faults.campaign.run_campaign`)::
-
-        {
-          "schema": 1,
-          "kind": "resilience",
-          "seed": <int>, "machines": <int>,
-          "control_dt": <s>, "sim_dt": <s>, "grace_steps": <int>,
-          "scenarios": [
-            {
-              "name": <str>, "description": <str>,
-              "load_fraction": <0..1>, "duration": <s>,
-              "fault_transitions": <int>,
-              "controllers": {
-                "naive" | "resilient" | "oracle": {
-                  "violation_seconds": <s>,
-                  "violation_seconds_after_grace": <s>,
-                  "recovery_seconds": <s> | null,
-                  "energy_joules": <J>,
-                  "energy_overhead_vs_oracle": <ratio> | null,
-                  "offered_task_seconds": <task*s>,
-                  "served_task_seconds": <task*s>,
-                  "shed_task_seconds": <task*s>,
-                  "reconfigurations": <int>, "suppressed": <int>,
-                  "safe_mode_entries": <int>,
-                  "sensors_quarantined": <int>,
-                  "max_t_cpu": <K>
-                }, ...
-              }
-            }, ...
-          ]
-        }
-
-    ``recovery_seconds`` is ``null`` only for a scenario with no fault
-    onsets; the grace-filtered violation count can never exceed the raw
-    one.
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError("resilience document must be a mapping")
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported resilience schema {document.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    if document.get("kind") != "resilience":
-        raise ConfigurationError(
-            f"not a resilience record (kind={document.get('kind')!r})"
-        )
-    for key in ("seed", "machines", "grace_steps"):
-        if not isinstance(document.get(key), int):
-            raise ConfigurationError(f"{key!r} must be an int")
-    for key in ("control_dt", "sim_dt"):
-        value = document.get(key)
-        if not isinstance(value, (int, float)) or value <= 0.0:
-            raise ConfigurationError(f"{key!r} must be a positive number")
-    scenarios = document.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise ConfigurationError("'scenarios' must be a non-empty list")
-    for scenario in scenarios:
-        if not isinstance(scenario, Mapping):
-            raise ConfigurationError("each scenario must be a map")
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigurationError("scenario 'name' must be a non-empty str")
-        fraction = scenario.get("load_fraction")
-        if not isinstance(fraction, (int, float)) or not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"scenario {name!r} load_fraction must be in (0, 1]"
-            )
-        duration = scenario.get("duration")
-        if not isinstance(duration, (int, float)) or duration <= 0.0:
-            raise ConfigurationError(
-                f"scenario {name!r} duration must be positive"
-            )
-        transitions = scenario.get("fault_transitions")
-        if not isinstance(transitions, int) or transitions < 0:
-            raise ConfigurationError(
-                f"scenario {name!r} fault_transitions must be a "
-                "non-negative int"
-            )
-        controllers = scenario.get("controllers")
-        if not isinstance(controllers, Mapping):
-            raise ConfigurationError(
-                f"scenario {name!r} 'controllers' map missing"
-            )
-        missing = [
-            c for c in _RESILIENCE_CONTROLLERS if c not in controllers
-        ]
-        if missing:
-            raise ConfigurationError(
-                f"scenario {name!r} missing controllers {missing}"
-            )
-        for controller, row in controllers.items():
-            if not isinstance(row, Mapping):
-                raise ConfigurationError(
-                    f"{name}/{controller} row must be a map"
-                )
-            absent = [k for k in _RESILIENCE_ROW_KEYS if k not in row]
-            if absent:
-                raise ConfigurationError(
-                    f"{name}/{controller} row missing {absent}"
-                )
-            for key in ("violation_seconds", "violation_seconds_after_grace",
-                        "energy_joules", "offered_task_seconds",
-                        "served_task_seconds", "shed_task_seconds"):
-                value = row[key]
-                if not isinstance(value, (int, float)) or value < 0.0:
-                    raise ConfigurationError(
-                        f"{name}/{controller} {key!r} must be a "
-                        "non-negative number"
-                    )
-            for key in ("reconfigurations", "suppressed",
-                        "safe_mode_entries", "sensors_quarantined"):
-                value = row[key]
-                if not isinstance(value, int) or value < 0:
-                    raise ConfigurationError(
-                        f"{name}/{controller} {key!r} must be a "
-                        "non-negative int"
-                    )
-            if not isinstance(row["max_t_cpu"], (int, float)):
-                raise ConfigurationError(
-                    f"{name}/{controller} 'max_t_cpu' must be numeric"
-                )
-            recovery = row["recovery_seconds"]
-            if recovery is not None and (
-                not isinstance(recovery, (int, float)) or recovery < 0.0
-            ):
-                raise ConfigurationError(
-                    f"{name}/{controller} 'recovery_seconds' must be a "
-                    "non-negative number or null"
-                )
-            overhead = row["energy_overhead_vs_oracle"]
-            if overhead is not None and not isinstance(
-                overhead, (int, float)
-            ):
-                raise ConfigurationError(
-                    f"{name}/{controller} 'energy_overhead_vs_oracle' "
-                    "must be numeric or null"
-                )
-            if (
-                row["violation_seconds_after_grace"]
-                > row["violation_seconds"] + 1e-9
-            ):
-                raise ConfigurationError(
-                    f"{name}/{controller}: grace-filtered violations "
-                    "exceed the raw count"
-                )
-
-
-def write_resilience(
-    path: Union[str, pathlib.Path], document: Mapping
-) -> pathlib.Path:
-    """Validate and write a fault-campaign document to ``path``."""
-    target = pathlib.Path(path)
-    validate_resilience(document)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return target
-
-
-#: Keys every simulation-speed entry must carry.
-_SIM_SPEED_ENTRY_KEYS = (
-    "n", "steps_numpy", "steps_python", "seconds_numpy", "seconds_python",
-    "steps_per_second_numpy", "steps_per_second_python", "speedup",
-    "identical_trajectory",
-)
-
-
-def validate_simulation_speed(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` is a valid
-    simulation-speed record.
-
-    Shape (written by ``benchmarks/bench_simulation_speed.py`` to
-    ``benchmarks/results/simulation_speed.json``)::
-
-        {
-          "schema": 1,
-          "kind": "simulation-speed",
-          "seed": <int>,
-          "dt": <integrator step, s>,
-          "entries": [
-            {
-              "n": <machines>,
-              "steps_numpy": <timed steps, vectorized engine>,
-              "steps_python": <timed steps, loop engine>,
-              "seconds_numpy": <best-of-rounds wall clock, s>,
-              "seconds_python": <best-of-rounds wall clock, s>,
-              "steps_per_second_numpy": <throughput>,
-              "steps_per_second_python": <throughput>,
-              "speedup": <numpy throughput / python throughput>,
-              "identical_trajectory": true
-            }, ...
-          ]
-        }
-
-    ``identical_trajectory`` records that, before timing, both engines
-    were stepped through the same seeded scenario and finished in
-    exactly equal states (the bench asserts it; the schema requires the
-    stamp to be present and true).
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError(
-            "simulation-speed document must be a mapping"
-        )
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported simulation-speed schema "
-            f"{document.get('schema')!r} (expected {SCHEMA_VERSION})"
-        )
-    if document.get("kind") != "simulation-speed":
-        raise ConfigurationError(
-            f"not a simulation-speed record (kind={document.get('kind')!r})"
-        )
-    if not isinstance(document.get("seed"), int):
-        raise ConfigurationError("'seed' must be an int")
-    dt = document.get("dt")
-    if not isinstance(dt, (int, float)) or dt <= 0.0:
-        raise ConfigurationError("'dt' must be a positive number")
-    entries = document.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigurationError("'entries' must be a non-empty list")
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError("each entry must be a map")
-        missing = [k for k in _SIM_SPEED_ENTRY_KEYS if k not in entry]
-        if missing:
-            raise ConfigurationError(f"entry missing {missing}")
-        for key in ("n", "steps_numpy", "steps_python"):
-            value = entry[key]
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a positive int"
-                )
-        for key in ("seconds_numpy", "seconds_python",
-                    "steps_per_second_numpy", "steps_per_second_python",
-                    "speedup"):
-            value = entry[key]
-            if not isinstance(value, (int, float)) or value <= 0.0:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a positive number"
-                )
-        if entry["identical_trajectory"] is not True:
-            raise ConfigurationError(
-                "'identical_trajectory' must be true — engines disagreed "
-                "or the equivalence check did not run"
-            )
-
-
-#: Keys every serving-benchmark entry must carry.
-_SERVING_ENTRY_KEYS = (
-    "clients", "batching", "batch_window_seconds", "max_batch",
-    "requests", "errors", "duration_seconds", "requests_per_second",
-    "latency_mean_ms", "latency_p50_ms", "latency_p99_ms",
-    "batches", "mean_batch_size", "max_batch_size", "coalesced",
-    "identical_answers", "batch_size_histogram",
-)
-
-
-def validate_serving(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` is a valid
-    serving-benchmark record.
-
-    Shape (written by ``benchmarks/bench_serving.py`` to
-    ``benchmarks/results/serving.json``; rendered by the
-    ``repro dashboard`` serving section)::
-
-        {
-          "schema": 1,
-          "kind": "serving",
-          "seed": <int>,
-          "machines": <n>,
-          "index_statuses": <rows in the warm Algorithm-1 table>,
-          "levels": <distinct quantized load levels in the workload>,
-          "warm_start_seconds": <index warm-start wall clock, s>,
-          "entries": [
-            {
-              "clients": <concurrent clients simulated>,
-              "batching": true | false,
-              "batch_window_seconds": <collector window, s>,
-              "max_batch": <dispatch cap>,
-              "requests": <completed>, "errors": <failed>,
-              "duration_seconds": <makespan, s>,
-              "requests_per_second": <throughput>,
-              "latency_mean_ms": <ms>, "latency_p50_ms": <ms>,
-              "latency_p99_ms": <ms>,
-              "batches": <dispatches>, "mean_batch_size": <float>,
-              "max_batch_size": <int>,
-              "coalesced": <duplicate loads answered from a batch twin>,
-              "identical_answers": true,
-              "batch_size_histogram": {"<dispatch size>": <count>, ...}
-            }, ...
-          ]
-        }
-
-    Every ``clients`` level must appear exactly twice — once batched,
-    once unbatched — because the artifact's whole point is the paired
-    comparison.  ``identical_answers`` records that the benchmark
-    cross-checked served allocations against direct
-    ``JointOptimizer.solve`` calls.
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError("serving document must be a mapping")
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported serving schema {document.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    if document.get("kind") != "serving":
-        raise ConfigurationError(
-            f"not a serving record (kind={document.get('kind')!r})"
-        )
-    if not isinstance(document.get("seed"), int):
-        raise ConfigurationError("'seed' must be an int")
-    for key in ("machines", "index_statuses", "levels"):
-        value = document.get(key)
-        if not isinstance(value, int) or value < 1:
-            raise ConfigurationError(f"{key!r} must be a positive int")
-    warm = document.get("warm_start_seconds")
-    if not isinstance(warm, (int, float)) or warm < 0.0:
-        raise ConfigurationError(
-            "'warm_start_seconds' must be a non-negative number"
-        )
-    entries = document.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigurationError("'entries' must be a non-empty list")
-    modes_by_clients: dict = {}
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError("each entry must be a map")
-        missing = [k for k in _SERVING_ENTRY_KEYS if k not in entry]
-        if missing:
-            raise ConfigurationError(f"entry missing {missing}")
-        if not isinstance(entry["batching"], bool):
-            raise ConfigurationError("entry 'batching' must be a bool")
-        for key in ("clients", "requests", "batches", "max_batch",
-                    "max_batch_size"):
-            value = entry[key]
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a positive int"
-                )
-        for key in ("errors", "coalesced"):
-            value = entry[key]
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a non-negative int"
-                )
-        for key in ("duration_seconds", "requests_per_second",
-                    "latency_mean_ms", "latency_p50_ms", "latency_p99_ms"):
-            value = entry[key]
-            if not isinstance(value, (int, float)) or value <= 0.0:
-                raise ConfigurationError(
-                    f"entry {key!r} must be a positive number"
-                )
-        window = entry["batch_window_seconds"]
-        if not isinstance(window, (int, float)) or window < 0.0:
-            raise ConfigurationError(
-                "entry 'batch_window_seconds' must be a non-negative number"
-            )
-        mean_size = entry["mean_batch_size"]
-        if not isinstance(mean_size, (int, float)) or mean_size < 1.0:
-            raise ConfigurationError(
-                "entry 'mean_batch_size' must be at least 1"
-            )
-        if entry["latency_p50_ms"] > entry["latency_p99_ms"] + 1e-9:
-            raise ConfigurationError("entry p50 latency exceeds p99")
-        if entry["identical_answers"] is not True:
-            raise ConfigurationError(
-                "'identical_answers' must be true — served allocations "
-                "were not cross-checked against the library"
-            )
-        histogram = entry["batch_size_histogram"]
-        if not isinstance(histogram, Mapping) or not histogram:
-            raise ConfigurationError(
-                "entry 'batch_size_histogram' must be a non-empty map"
-            )
-        accounted = 0
-        for size, count in histogram.items():
-            if (
-                not isinstance(size, str)
-                or not size.isdigit()
-                or int(size) < 1
-                or not isinstance(count, int)
-                or count < 1
-            ):
-                raise ConfigurationError(
-                    "entry 'batch_size_histogram' keys must be positive "
-                    "integer strings with positive int counts"
-                )
-            accounted += int(size) * count
-        if accounted != entry["requests"]:
-            raise ConfigurationError(
-                f"batch_size_histogram accounts for {accounted} requests, "
-                f"entry reports {entry['requests']}"
-            )
-        modes = modes_by_clients.setdefault(entry["clients"], [])
-        modes.append(entry["batching"])
-    for clients, modes in sorted(modes_by_clients.items()):
-        if sorted(modes) != [False, True]:
-            raise ConfigurationError(
-                f"clients={clients} must appear exactly twice "
-                "(batching on and off), got "
-                f"{len(modes)} entries"
-            )
-
-
-def write_serving(
-    path: Union[str, pathlib.Path], document: Mapping
-) -> pathlib.Path:
-    """Validate and write a serving-benchmark document to ``path``."""
-    target = pathlib.Path(path)
-    validate_serving(document)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return target
-
-
-#: Controllers every MPC-campaign scenario must report.
-_MPC_CONTROLLERS = ("reactive", "resilient", "mpc", "oracle")
-
-#: Metric keys every per-controller MPC row must carry.
-_MPC_ROW_KEYS = (
-    "violation_seconds", "energy_joules", "energy_overhead_vs_oracle",
-    "offered_task_seconds", "served_task_seconds", "shed_task_seconds",
-    "reconfigurations", "suppressed", "on_set_changes", "max_t_cpu",
-    "horizon_solves", "fallbacks", "precools",
-)
-
-#: Keys every dominance row must carry.
-_MPC_DOMINANCE_KEYS = (
-    "scenario", "flash_crowd", "mpc_violation_seconds",
-    "reactive_violation_seconds", "mpc_energy_joules",
-    "reactive_energy_joules", "dominates",
-)
-
-
-def validate_mpc(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` is a valid
-    MPC-campaign record.
-
-    Shape (written by ``repro mpc`` / ``benchmarks/bench_mpc.py`` to
-    ``benchmarks/results/mpc.json``; built by
-    :func:`repro.control.campaign.run_mpc_campaign`)::
-
-        {
-          "schema": 1,
-          "kind": "mpc",
-          "seed": <int>, "machines": <int>, "horizon": <int>,
-          "control_dt": <s>, "sim_dt": <s>,
-          "entries": [            # flat per-(scenario, controller) rows
-            {
-              "scenario": <str>,
-              "controller": "reactive"|"resilient"|"mpc"|"oracle",
-              "violation_seconds": <s>, "energy_joules": <J>,
-              "energy_overhead_vs_oracle": <ratio> | null,
-              "offered_task_seconds": <task*s>,
-              "served_task_seconds": <task*s>,
-              "shed_task_seconds": <task*s>,
-              "reconfigurations": <int>, "suppressed": <int>,
-              "on_set_changes": <int>, "max_t_cpu": <K>,
-              "horizon_solves": <int>, "fallbacks": <int>,
-              "precools": <int>
-            }, ...
-          ],
-          "scenarios": [
-            {
-              "name": <str>, "description": <str>,
-              "flash_crowd": <bool>, "duration": <s>,
-              "peak_load_fraction": <float> | null,
-              "controllers": {"reactive": {...}, "resilient": {...},
-                              "mpc": {...}, "oracle": {...}}
-            }, ...
-          ],
-          "dominance": [          # the acceptance gate, one per scenario
-            {
-              "scenario": <str>, "flash_crowd": <bool>,
-              "mpc_violation_seconds": <s>,
-              "reactive_violation_seconds": <s>,
-              "mpc_energy_joules": <J>, "reactive_energy_joules": <J>,
-              "dominates": <bool>
-            }, ...
-          ]
-        }
-
-    The validator checks *consistency*, not the gate itself: every
-    scenario carries all four controller rows, every dominance row's
-    ``dominates`` flag agrees with its own numbers (strictly fewer
-    violation-seconds at equal-or-lower energy), and the flat
-    ``entries`` cover exactly the scenario/controller product.  Whether
-    some flash-crowd row actually dominates is the *bench/CI* gate
-    (``benchmarks/bench_mpc.py``), not a schema property.
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError("mpc document must be a mapping")
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported mpc schema {document.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    if document.get("kind") != "mpc":
-        raise ConfigurationError(
-            f"not an mpc record (kind={document.get('kind')!r})"
-        )
-    for key in ("seed", "machines", "horizon"):
-        if not isinstance(document.get(key), int):
-            raise ConfigurationError(f"{key!r} must be an int")
-    if document["machines"] < 1 or document["horizon"] < 1:
-        raise ConfigurationError(
-            "'machines' and 'horizon' must be positive"
-        )
-    for key in ("control_dt", "sim_dt"):
-        value = document.get(key)
-        if not isinstance(value, (int, float)) or value <= 0.0:
-            raise ConfigurationError(f"{key!r} must be a positive number")
-    scenarios = document.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise ConfigurationError("'scenarios' must be a non-empty list")
-    names = []
-    for scenario in scenarios:
-        if not isinstance(scenario, Mapping):
-            raise ConfigurationError("each scenario must be a map")
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigurationError(
-                "scenario 'name' must be a non-empty str"
-            )
-        names.append(name)
-        if not isinstance(scenario.get("flash_crowd"), bool):
-            raise ConfigurationError(
-                f"scenario {name!r} 'flash_crowd' must be a bool"
-            )
-        duration = scenario.get("duration")
-        if not isinstance(duration, (int, float)) or duration <= 0.0:
-            raise ConfigurationError(
-                f"scenario {name!r} duration must be positive"
-            )
-        peak = scenario.get("peak_load_fraction")
-        if peak is not None and (
-            not isinstance(peak, (int, float)) or peak <= 0.0
-        ):
-            raise ConfigurationError(
-                f"scenario {name!r} 'peak_load_fraction' must be a "
-                "positive number or null"
-            )
-        controllers = scenario.get("controllers")
-        if not isinstance(controllers, Mapping):
-            raise ConfigurationError(
-                f"scenario {name!r} 'controllers' map missing"
-            )
-        missing = [c for c in _MPC_CONTROLLERS if c not in controllers]
-        if missing:
-            raise ConfigurationError(
-                f"scenario {name!r} missing controllers {missing}"
-            )
-        for controller, row in controllers.items():
-            _validate_mpc_row(f"{name}/{controller}", row)
-    if len(set(names)) != len(names):
-        raise ConfigurationError("scenario names must be unique")
-    entries = document.get("entries")
-    if not isinstance(entries, list):
-        raise ConfigurationError("'entries' must be a list")
-    seen = set()
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError("each entry must be a map")
-        scenario = entry.get("scenario")
-        controller = entry.get("controller")
-        if scenario not in names:
-            raise ConfigurationError(
-                f"entry references unknown scenario {scenario!r}"
-            )
-        if controller not in _MPC_CONTROLLERS:
-            raise ConfigurationError(
-                f"entry references unknown controller {controller!r}"
-            )
-        _validate_mpc_row(f"entries[{scenario}/{controller}]", entry)
-        seen.add((scenario, controller))
-    expected = {
-        (name, controller)
-        for name in names
-        for controller in _MPC_CONTROLLERS
-    }
-    if seen != expected:
-        raise ConfigurationError(
-            "'entries' must cover exactly the scenario x controller "
-            f"product (missing {sorted(expected - seen)}, "
-            f"extra {sorted(seen - expected)})"
-        )
-    dominance = document.get("dominance")
-    if not isinstance(dominance, list) or len(dominance) != len(names):
-        raise ConfigurationError(
-            "'dominance' must list one row per scenario"
-        )
-    for row in dominance:
-        if not isinstance(row, Mapping):
-            raise ConfigurationError("each dominance row must be a map")
-        missing = [k for k in _MPC_DOMINANCE_KEYS if k not in row]
-        if missing:
-            raise ConfigurationError(f"dominance row missing {missing}")
-        if row["scenario"] not in names:
-            raise ConfigurationError(
-                f"dominance row references unknown scenario "
-                f"{row['scenario']!r}"
-            )
-        for key in ("mpc_violation_seconds", "reactive_violation_seconds",
-                    "mpc_energy_joules", "reactive_energy_joules"):
-            value = row[key]
-            if not isinstance(value, (int, float)) or value < 0.0:
-                raise ConfigurationError(
-                    f"dominance {key!r} must be a non-negative number"
-                )
-        if not isinstance(row["flash_crowd"], bool) or not isinstance(
-            row["dominates"], bool
-        ):
-            raise ConfigurationError(
-                "dominance 'flash_crowd' and 'dominates' must be bools"
-            )
-        implied = (
-            row["mpc_violation_seconds"] < row["reactive_violation_seconds"]
-            and row["mpc_energy_joules"] <= row["reactive_energy_joules"]
-        )
-        if row["dominates"] != implied:
-            raise ConfigurationError(
-                f"dominance row {row['scenario']!r}: 'dominates' flag "
-                "disagrees with its own numbers"
-            )
-
-
-def _validate_mpc_row(label: str, row: Mapping) -> None:
-    if not isinstance(row, Mapping):
-        raise ConfigurationError(f"{label} row must be a map")
-    absent = [k for k in _MPC_ROW_KEYS if k not in row]
-    if absent:
-        raise ConfigurationError(f"{label} row missing {absent}")
-    for key in ("violation_seconds", "energy_joules",
-                "offered_task_seconds", "served_task_seconds",
-                "shed_task_seconds"):
-        value = row[key]
-        if not isinstance(value, (int, float)) or value < 0.0:
-            raise ConfigurationError(
-                f"{label} {key!r} must be a non-negative number"
-            )
-    for key in ("reconfigurations", "suppressed", "on_set_changes",
-                "horizon_solves", "fallbacks", "precools"):
-        value = row[key]
-        if not isinstance(value, int) or value < 0:
-            raise ConfigurationError(
-                f"{label} {key!r} must be a non-negative int"
-            )
-    if not isinstance(row["max_t_cpu"], (int, float)):
-        raise ConfigurationError(f"{label} 'max_t_cpu' must be numeric")
-    overhead = row["energy_overhead_vs_oracle"]
-    if overhead is not None and not isinstance(overhead, (int, float)):
-        raise ConfigurationError(
-            f"{label} 'energy_overhead_vs_oracle' must be numeric or null"
-        )
-    if (
-        row["served_task_seconds"]
-        > row["offered_task_seconds"] + 1e-6
-    ):
-        raise ConfigurationError(
-            f"{label}: served task-seconds exceed offered"
-        )
-
-
-def write_mpc(
-    path: Union[str, pathlib.Path], document: Mapping
-) -> pathlib.Path:
-    """Validate and write an MPC-campaign document to ``path``."""
-    target = pathlib.Path(path)
-    validate_mpc(document)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return target
-
-
-#: Keys every per-site cooling-plant entry must carry.
-_COOLING_PLANT_ENTRY_KEYS = (
-    "site", "description", "buckets", "bucket_seconds",
-    "it_energy_joules", "cooling_energy_joules", "total_energy_joules",
-    "pue", "water_liters", "wue_l_per_kwh", "economizer_fraction",
-    "mode_switches", "mean_cop", "linearization_gap",
-)
-
-#: Keys every heat-wave row must carry.
-_COOLING_PLANT_WAVE_KEYS = (
-    "site", "amplitude_k", "baseline_pue", "wave_pue", "pue_penalty",
-    "baseline_peak_w", "wave_peak_w",
-)
-
-#: Exactness budget for the per-site linearization-gap stamp.  The
-#: tangent re-linearization of Eq. 10 is *exact* at its operating point
-#: (the chiller's power curve is smooth there); a gap beyond float
-#: round-off means the seam between the plant and the optimizer leaks.
-_COOLING_PLANT_GAP_TOLERANCE = 1e-6
-
-
-def validate_cooling_plant(document: Mapping) -> None:
-    """Raise :class:`ConfigurationError` unless ``document`` is a valid
-    cooling-plant record.
-
-    Shape (written by ``repro weather`` /
-    ``benchmarks/bench_cooling_plant.py`` to
-    ``benchmarks/results/cooling_plant.json``; built by
-    :meth:`repro.experiments.weather.WeatherStudyResult.document`)::
-
-        {
-          "schema": 1,
-          "kind": "cooling-plant",
-          "seed": <int>, "machines": <int>,
-          "load_fraction": <0..1>, "quick": <bool>,
-          "entries": [              # one per climate preset
-            {
-              "site": <str>, "description": <str>,
-              "buckets": <int>, "bucket_seconds": <s>,
-              "it_energy_joules": <J>,
-              "cooling_energy_joules": <J>,
-              "total_energy_joules": <J>,
-              "pue": <total / IT, >= 1>,
-              "water_liters": <L> | null,
-              "wue_l_per_kwh": <L/kWh> | null,
-              "economizer_fraction": <0..1>,
-              "mode_switches": <int>,
-              "mean_cop": <delivered J per electrical J>,
-              "linearization_gap": <relative, <= 1e-6>
-            }, ...
-          ],
-          "heat_wave": [            # one stress day per site
-            {
-              "site": <str>, "amplitude_k": <K>,
-              "baseline_pue": <float>, "wave_pue": <float>,
-              "pue_penalty": <wave - baseline>,
-              "baseline_peak_w": <W>, "wave_peak_w": <W>
-            }, ...
-          ]
-        }
-
-    Beyond shape, the validator enforces the physics the artifact
-    certifies: PUE at least 1, energies adding up, water/WUE paired,
-    and — the PR's acceptance stamp — every site's
-    ``linearization_gap`` within float round-off, so a drifting plant
-    model cannot silently decouple from the Eq. 10 optimizer.
-    """
-    if not isinstance(document, Mapping):
-        raise ConfigurationError("cooling-plant document must be a mapping")
-    if document.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported cooling-plant schema {document.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    if document.get("kind") != "cooling-plant":
-        raise ConfigurationError(
-            f"not a cooling-plant record (kind={document.get('kind')!r})"
-        )
-    for key in ("seed", "machines"):
-        if not isinstance(document.get(key), int):
-            raise ConfigurationError(f"{key!r} must be an int")
-    if document["machines"] < 1:
-        raise ConfigurationError("'machines' must be positive")
-    fraction = document.get("load_fraction")
-    if not isinstance(fraction, (int, float)) or not 0.0 < fraction <= 1.0:
-        raise ConfigurationError("'load_fraction' must be in (0, 1]")
-    if not isinstance(document.get("quick"), bool):
-        raise ConfigurationError("'quick' must be a bool")
-    entries = document.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigurationError("'entries' must be a non-empty list")
-    sites = []
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError("each entry must be a map")
-        missing = [k for k in _COOLING_PLANT_ENTRY_KEYS if k not in entry]
-        if missing:
-            raise ConfigurationError(f"entry missing {missing}")
-        site = entry["site"]
-        if not isinstance(site, str) or not site:
-            raise ConfigurationError("entry 'site' must be a non-empty str")
-        sites.append(site)
-        if not isinstance(entry["buckets"], int) or entry["buckets"] < 1:
-            raise ConfigurationError(
-                f"site {site!r} 'buckets' must be a positive int"
-            )
-        if not isinstance(entry["mode_switches"], int) or \
-                entry["mode_switches"] < 0:
-            raise ConfigurationError(
-                f"site {site!r} 'mode_switches' must be a non-negative int"
-            )
-        for key in ("bucket_seconds", "it_energy_joules",
-                    "cooling_energy_joules", "total_energy_joules",
-                    "mean_cop"):
-            value = entry[key]
-            if not isinstance(value, (int, float)) or value <= 0.0:
-                raise ConfigurationError(
-                    f"site {site!r} {key!r} must be a positive number"
-                )
-        total = entry["it_energy_joules"] + entry["cooling_energy_joules"]
-        if abs(total - entry["total_energy_joules"]) > 1e-6 * max(total, 1.0):
-            raise ConfigurationError(
-                f"site {site!r}: total energy does not equal IT + cooling"
-            )
-        pue = entry["pue"]
-        if not isinstance(pue, (int, float)) or pue < 1.0:
-            raise ConfigurationError(
-                f"site {site!r} 'pue' must be a number >= 1"
-            )
-        econ = entry["economizer_fraction"]
-        if not isinstance(econ, (int, float)) or not 0.0 <= econ <= 1.0:
-            raise ConfigurationError(
-                f"site {site!r} 'economizer_fraction' must be in [0, 1]"
-            )
-        water = entry["water_liters"]
-        wue = entry["wue_l_per_kwh"]
-        if (water is None) != (wue is None):
-            raise ConfigurationError(
-                f"site {site!r}: 'water_liters' and 'wue_l_per_kwh' must "
-                "be both present or both null"
-            )
-        for key, value in (("water_liters", water),
-                           ("wue_l_per_kwh", wue)):
-            if value is not None and (
-                not isinstance(value, (int, float)) or value < 0.0
-            ):
-                raise ConfigurationError(
-                    f"site {site!r} {key!r} must be a non-negative "
-                    "number or null"
-                )
-        gap = entry["linearization_gap"]
-        if not isinstance(gap, (int, float)) or not (
-            0.0 <= gap <= _COOLING_PLANT_GAP_TOLERANCE
-        ):
-            raise ConfigurationError(
-                f"site {site!r} 'linearization_gap' {gap!r} exceeds "
-                f"{_COOLING_PLANT_GAP_TOLERANCE:g} — the re-linearized "
-                "Eq. 10 no longer matches the plant at its operating point"
-            )
-    if len(set(sites)) != len(sites):
-        raise ConfigurationError("entry sites must be unique")
-    waves = document.get("heat_wave")
-    if not isinstance(waves, list) or not waves:
-        raise ConfigurationError("'heat_wave' must be a non-empty list")
-    for wave in waves:
-        if not isinstance(wave, Mapping):
-            raise ConfigurationError("each heat-wave row must be a map")
-        missing = [k for k in _COOLING_PLANT_WAVE_KEYS if k not in wave]
-        if missing:
-            raise ConfigurationError(f"heat-wave row missing {missing}")
-        site = wave["site"]
-        if site not in sites:
-            raise ConfigurationError(
-                f"heat-wave row references unknown site {site!r}"
-            )
-        for key in ("amplitude_k", "baseline_pue", "wave_pue",
-                    "baseline_peak_w", "wave_peak_w"):
-            value = wave[key]
-            if not isinstance(value, (int, float)) or value <= 0.0:
-                raise ConfigurationError(
-                    f"heat-wave {site!r} {key!r} must be a positive number"
-                )
-        penalty = wave["pue_penalty"]
-        if not isinstance(penalty, (int, float)):
-            raise ConfigurationError(
-                f"heat-wave {site!r} 'pue_penalty' must be numeric"
-            )
-        implied = wave["wave_pue"] - wave["baseline_pue"]
-        if abs(penalty - implied) > 1e-9:
-            raise ConfigurationError(
-                f"heat-wave {site!r}: 'pue_penalty' disagrees with its "
-                "own PUE numbers"
-            )
-
-
-def write_cooling_plant(
-    path: Union[str, pathlib.Path], document: Mapping
-) -> pathlib.Path:
-    """Validate and write a cooling-plant document to ``path``."""
-    target = pathlib.Path(path)
-    validate_cooling_plant(document)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return target
+    return SCHEMAS[OBSERVABILITY].write(
+        path, bench_observability(registry, trace=trace)
+    )
 
 
 # ---------------------------------------------------------------------- #
