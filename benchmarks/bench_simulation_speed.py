@@ -2,16 +2,16 @@
 
 Every closed-loop result in the reproduction flows through
 :class:`~repro.thermal.simulation.RoomSimulation.step`; this bench
-measures the vectorized ``engine="numpy"`` stepper against the
-``engine="python"`` per-node loop at machine counts beyond the paper's
-10-node room.  For each ``n`` it
+measures the shipped vectorized stepper against the per-node loop
+oracle (:class:`tests.oracles.simulation.LoopSimulation`) at machine
+counts beyond the paper's 10-node room.  For each ``n`` it
 
-- steps both engines through the same seeded scenario (mixed on/off
-  mask, a set-point step halfway through) and asserts the final states
-  are **exactly equal** — the trajectory-equivalence contract from
+- steps both through the same seeded scenario (mixed on/off mask, a
+  set-point step halfway through) and asserts the final states are
+  **exactly equal** — the trajectory-equivalence contract from
   ``tests/test_simulation_engine.py``, re-checked at bench scale;
-- times steady stepping on each engine (best of rounds, so allocator
-  warm-up is machine noise, not integrator time) and records steps/sec.
+- times steady stepping on each (best of rounds, so allocator warm-up
+  is machine noise, not integrator time) and records steps/sec.
 
 Results land in ``benchmarks/results/simulation_speed.json``
 (schema: :func:`repro.obs.validate_simulation_speed`) and a readable
@@ -36,6 +36,7 @@ from repro import obs
 from repro.experiments.scale_study import scaled_config
 from repro.testbed.rack import build_cooler, build_room
 from repro.thermal.simulation import RoomSimulation
+from tests.oracles.simulation import LoopSimulation
 
 SEED = 2012
 
@@ -51,7 +52,7 @@ SPEEDUP_AT = 100
 #: Warm-up + equivalence steps before any timing.
 CHECK_STEPS = 400
 
-#: Timed steps per round (the loop engine gets fewer; it is the slow
+#: Timed steps per round (the loop oracle gets fewer; it is the slow
 #: side and the per-step cost is stable).
 TIMED_STEPS_NUMPY = 4000
 TIMED_STEPS_PYTHON = 400
@@ -77,10 +78,10 @@ def _scenario(n: int):
     return powers, on_mask, (295.0, 293.5)
 
 
-def _build(n: int, engine: str) -> RoomSimulation:
+def _build(n: int, simulation: type[RoomSimulation]) -> RoomSimulation:
     config = scaled_config(n)
     room = build_room(config, np.random.default_rng(SEED + n))
-    return RoomSimulation(room, build_cooler(config), engine=engine)
+    return simulation(room, build_cooler(config))
 
 
 def _drive(sim: RoomSimulation, n: int, steps: int) -> None:
@@ -104,18 +105,20 @@ def _states_equal(a: RoomSimulation, b: RoomSimulation) -> bool:
     )
 
 
-def _time_engine(n: int, engine: str, steps: int) -> float:
+def _time_engine(
+    n: int, simulation: type[RoomSimulation], steps: int
+) -> float:
     """Best-of-rounds wall clock for ``steps`` steady steps.
 
     Timed with tracing suspended: the bench session traces every bench
     (``benchmarks/conftest.py``), but per-step trace events are an
-    opt-in diagnostic, not integrator work — both engines are timed on
+    opt-in diagnostic, not integrator work — both steppers are timed on
     the same footing either way.
     """
     best = float("inf")
     with obs.suspended_tracing():
         for _ in range(ROUNDS):
-            sim = _build(n, engine)
+            sim = _build(n, simulation)
             powers, on_mask, set_points = _scenario(n)
             sim.set_node_powers(powers, on_mask=on_mask)
             sim.set_set_point(set_points[0])
@@ -141,15 +144,15 @@ class _Entry:
 
 
 def _measure(n: int) -> _Entry:
-    fast = _build(n, "numpy")
-    loop = _build(n, "python")
+    fast = _build(n, RoomSimulation)
+    loop = _build(n, LoopSimulation)
     _drive(fast, n, CHECK_STEPS)
     _drive(loop, n, CHECK_STEPS)
     identical = _states_equal(fast, loop)
-    assert identical, f"n={n}: engines diverged on the bench scenario"
+    assert identical, f"n={n}: stepper and oracle diverged on the bench"
 
-    seconds_numpy = _time_engine(n, "numpy", TIMED_STEPS_NUMPY)
-    seconds_python = _time_engine(n, "python", TIMED_STEPS_PYTHON)
+    seconds_numpy = _time_engine(n, RoomSimulation, TIMED_STEPS_NUMPY)
+    seconds_python = _time_engine(n, LoopSimulation, TIMED_STEPS_PYTHON)
     sps_numpy = TIMED_STEPS_NUMPY / seconds_numpy
     sps_python = TIMED_STEPS_PYTHON / seconds_python
     return _Entry(

@@ -52,13 +52,11 @@ from repro.control.mpc import MPCController
 from repro.control.plant import LinearizedPlant
 from repro.core.controller import RuntimeController
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.faults.campaign import _SENSOR_SPAWN_KEY, _OracleController
+from repro.faults.campaign import _LoopHarness, _OracleController
 from repro.faults.injection import FaultInjector
 from repro.faults.resilience import ResilientController
 from repro.faults.scenario import FaultScenario, FaultSpec
 from repro.thermal.plant import ChillerPlant, default_plant
-from repro.thermal.sensors import TemperatureSensor
-from repro.thermal.simulation import RoomSimulation
 from repro.workload.traces import (
     LoadTrace,
     constant_trace,
@@ -381,7 +379,6 @@ def run_demand_loop(
     feed_readings: bool = False,
     feed_state: bool = False,
     controller_name: str = "controller",
-    sim_engine: str = "numpy",
     plant: Optional[ChillerPlant] = None,
     weather: Optional[WeatherTrace] = None,
 ) -> DemandLoopResult:
@@ -412,10 +409,6 @@ def run_demand_loop(
     air-side thermals are untouched — and the result carries PUE plus
     (with a cooling tower) water use and WUE.
     """
-    if control_dt <= 0.0 or sim_dt <= 0.0 or sim_dt > control_dt:
-        raise ConfigurationError(
-            f"need 0 < sim_dt <= control_dt, got {sim_dt}, {control_dt}"
-        )
     wx = scenario.weather if scenario.weather is not None else weather
     if plant is not None and wx is None:
         raise ConfigurationError(
@@ -430,11 +423,11 @@ def run_demand_loop(
     total = trace.duration
     t_max = testbed.config.t_max
     inj = injector if injector is not None else FaultInjector(scenario.faults)
-    # Auto-reset on scenario start: a fresh cooler copy (set point kept,
-    # PI state zeroed) so back-to-back scenarios can never leak integral
-    # state between runs.
-    cooler = testbed.fresh_cooler()
-    sim = RoomSimulation(testbed.room, cooler, engine=sim_engine)
+    harness = _LoopHarness(
+        testbed, inj, scenario.faults.seed, control_dt, sim_dt
+    )
+    sim, sensor = harness.sim, harness.sensor
+    cooler = sim.cooler
     # Per-run plant copy: mode machine starts mechanical and acts on
     # this run's cooler, so scenarios can't leak hysteresis state.
     run_plant = (
@@ -442,24 +435,12 @@ def run_demand_loop(
         if plant is not None
         else None
     )
-    inj.attach_simulation(sim)
     if attach_injector:
         controller.attach_fault_injector(inj)
-    sensor = TemperatureSensor(
-        rng=np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=scenario.faults.seed,
-                spawn_key=(_SENSOR_SPAWN_KEY,),
-            )
-        ),
-        noise_std=0.02,
-        resolution=0.01,
-    )
     n = testbed.n_machines
     caps = np.array(
         [pm.capacity for pm in testbed.power_models], dtype=float
     )
-    substeps = max(1, int(round(control_dt / sim_dt)))
     energy = 0.0
     server_energy = 0.0
     water: Optional[float] = (
@@ -472,7 +453,6 @@ def run_demand_loop(
     max_t = -math.inf
     on_set_changes = 0
     prev_on: Optional[frozenset] = None
-    warm_started = False
     t = 0.0
     with obs.record_run(
         "control.demand_loop",
@@ -490,7 +470,7 @@ def run_demand_loop(
                     t, sensor.read_many(sim.t_cpu)
                 )
                 controller.observe_readings(t, readings)
-            if feed_state and warm_started:
+            if feed_state and harness.warm_started:
                 controller.observe_thermal_state(
                     t, sim.t_cpu.copy(), sim.t_box.copy(), sim.t_room
                 )
@@ -519,20 +499,9 @@ def run_demand_loop(
             sim.set_node_powers(powers, on_mask=mask)
             if plan is not None:
                 sim.set_set_point(plan.t_sp)
-            if not warm_started:
-                # Start settled: the interesting dynamics are the demand
-                # transients, not the cold-room boot.
-                state = sim.steady_state(
-                    powers=powers, on_mask=mask,
-                    set_point=sim.cooler.set_point,
-                )
-                sim.t_cpu = state.t_cpu.copy()
-                sim.t_box = state.t_box.copy()
-                sim.t_room = float(state.t_room)
-                sim.t_ac = float(state.t_ac)
-                warm_started = True
+            harness.warm_start(powers, mask)
             on_idx = np.flatnonzero(mask)
-            for k in range(substeps):
+            for k in range(harness.substeps):
                 t_sub = t + k * sim_dt
                 offered_sub = inj.offered_load(trace.load_at(t_sub))
                 loads = _serve(offered_sub, plan_loads, caps, mask)
@@ -689,7 +658,6 @@ def run_mpc_campaign(
     control_dt: float = 60.0,
     sim_dt: float = 2.0,
     context=None,
-    sim_engine: str = "numpy",
     chiller: Optional[ChillerPlant] = None,
     weather: Optional[WeatherTrace] = None,
 ) -> tuple[dict, dict]:
@@ -713,9 +681,7 @@ def run_mpc_campaign(
     if context is None:
         from repro.experiments.common import default_context
 
-        context = default_context(
-            seed=seed, n_machines=n_machines, sim_engine=sim_engine
-        )
+        context = default_context(seed=seed, n_machines=n_machines)
     testbed = context.testbed
     if chiller is not None and weather is None:
         raise ConfigurationError(
@@ -765,7 +731,6 @@ def run_mpc_campaign(
                     feed_readings=readings,
                     feed_state=state,
                     controller_name=name,
-                    sim_engine=sim_engine,
                     plant=chiller,
                     weather=weather,
                 )

@@ -105,7 +105,7 @@ class LinearizedPlant:
         self.dt = float(dt)
         self.substeps = max(1, int(np.ceil(dt / rk_dt - 1e-9)))
         self.rk_dt = self.dt / self.substeps
-        self._probe = RoomSimulation(room, cooler, engine="numpy")
+        self._probe = RoomSimulation(room, cooler)
         self.n = room.node_count
         self.max_cached_masks = max_cached_masks
         self._cache: OrderedDict[bytes, PlantMatrices] = OrderedDict()

@@ -370,6 +370,62 @@ class _OracleController:
 # --------------------------------------------------------------------- #
 
 
+class _LoopHarness:
+    """The set-up both closed-loop runners share.
+
+    Checks the step sizes, gives the run a fresh cooler copy (set point
+    kept, PI state zeroed, so back-to-back scenarios can never leak
+    integral state) under its own :class:`RoomSimulation` with the
+    injector attached, and seeds the harness sensor stream from
+    ``sensor_seed``.  The step loops stay with the runners
+    (:func:`run_closed_loop` and
+    :func:`repro.control.campaign.run_demand_loop`): they serve, score
+    and account differently.
+    """
+
+    def __init__(
+        self,
+        testbed,
+        injector: FaultInjector,
+        sensor_seed: int,
+        control_dt: float,
+        sim_dt: float,
+    ) -> None:
+        if control_dt <= 0.0 or sim_dt <= 0.0 or sim_dt > control_dt:
+            raise ConfigurationError(
+                f"need 0 < sim_dt <= control_dt, got {sim_dt}, {control_dt}"
+            )
+        self.sim = RoomSimulation(testbed.room, testbed.fresh_cooler())
+        injector.attach_simulation(self.sim)
+        self.sensor = TemperatureSensor(
+            rng=np.random.default_rng(
+                np.random.SeedSequence(
+                    entropy=sensor_seed, spawn_key=(_SENSOR_SPAWN_KEY,)
+                )
+            ),
+            noise_std=0.02,
+            resolution=0.01,
+        )
+        self.substeps = max(1, int(round(control_dt / sim_dt)))
+        self.warm_started = False
+
+    def warm_start(self, powers: np.ndarray, mask: np.ndarray) -> None:
+        """Settle the room at the first plan's steady state (first call
+        only): the interesting dynamics are the disturbances, not the
+        cold-room boot transient."""
+        if self.warm_started:
+            return
+        sim = self.sim
+        state = sim.steady_state(
+            powers=powers, on_mask=mask, set_point=sim.cooler.set_point
+        )
+        sim.t_cpu = state.t_cpu.copy()
+        sim.t_box = state.t_box.copy()
+        sim.t_room = float(state.t_room)
+        sim.t_ac = float(state.t_ac)
+        self.warm_started = True
+
+
 def run_closed_loop(
     testbed,
     controller,
@@ -384,7 +440,6 @@ def run_closed_loop(
     attach_injector: bool = False,
     feed_readings: bool = False,
     controller_name: str = "controller",
-    sim_engine: str = "numpy",
 ) -> ClosedLoopResult:
     """Drive one controller through one fault scenario, ground truth on.
 
@@ -396,10 +451,6 @@ def run_closed_loop(
     ``observe_readings``.  A plain controller with both flags off is the
     fault-blind naive baseline.
     """
-    if control_dt <= 0.0 or sim_dt <= 0.0 or sim_dt > control_dt:
-        raise ConfigurationError(
-            f"need 0 < sim_dt <= control_dt, got {sim_dt}, {control_dt}"
-        )
     if grace_steps < 0:
         raise ConfigurationError(
             f"grace_steps must be non-negative, got {grace_steps}"
@@ -411,25 +462,11 @@ def run_closed_loop(
         )
     t_max = testbed.config.t_max
     inj = injector if injector is not None else FaultInjector(scenario)
-    # Auto-reset on scenario start: a fresh cooler copy (set point kept,
-    # PI state zeroed) so back-to-back scenarios can never leak integral
-    # state between runs.
-    cooler = testbed.fresh_cooler()
-    sim = RoomSimulation(testbed.room, cooler, engine=sim_engine)
-    inj.attach_simulation(sim)
+    harness = _LoopHarness(testbed, inj, scenario.seed, control_dt, sim_dt)
+    sim, sensor = harness.sim, harness.sensor
     if attach_injector:
         controller.attach_fault_injector(inj)
-    sensor = TemperatureSensor(
-        rng=np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=scenario.seed, spawn_key=(_SENSOR_SPAWN_KEY,)
-            )
-        ),
-        noise_std=0.02,
-        resolution=0.01,
-    )
     n = testbed.n_machines
-    substeps = max(1, int(round(control_dt / sim_dt)))
     energy = 0.0
     server_energy = 0.0
     violation = 0.0
@@ -438,7 +475,6 @@ def run_closed_loop(
     served_ts = 0.0
     max_t = -math.inf
     last_violation_end: Optional[float] = None
-    warm_started = False
     t = 0.0
     with obs.record_run(
         "faults.closed_loop",
@@ -476,19 +512,8 @@ def run_closed_loop(
             sim.set_node_powers(powers, on_mask=mask)
             if plan is not None:
                 sim.set_set_point(plan.t_sp)
-            if not warm_started:
-                # Start settled: the interesting dynamics are the faults,
-                # not the cold-room boot transient.
-                state = sim.steady_state(
-                    powers=powers, on_mask=mask,
-                    set_point=sim.cooler.set_point,
-                )
-                sim.t_cpu = state.t_cpu.copy()
-                sim.t_box = state.t_box.copy()
-                sim.t_room = float(state.t_room)
-                sim.t_ac = float(state.t_ac)
-                warm_started = True
-            for _ in range(substeps):
+            harness.warm_start(powers, mask)
+            for _ in range(harness.substeps):
                 sim.step(sim_dt)
                 energy += sim.total_power * sim_dt
                 server_energy += float(powers.sum()) * sim_dt
@@ -592,7 +617,6 @@ def run_campaign(
     sim_dt: float = 2.0,
     grace_steps: int = 1,
     context=None,
-    sim_engine: str = "numpy",
 ) -> tuple[list[CampaignResult], dict]:
     """Sweep scenarios over the naive/resilient/oracle controllers.
 
@@ -605,9 +629,7 @@ def run_campaign(
     if context is None:
         from repro.experiments.common import default_context
 
-        context = default_context(
-            seed=seed, n_machines=n_machines, sim_engine=sim_engine
-        )
+        context = default_context(seed=seed, n_machines=n_machines)
     refs = (
         list(scenarios)
         if scenarios is not None
@@ -635,7 +657,6 @@ def run_campaign(
                 attach_injector=attach,
                 feed_readings=readings,
                 controller_name=name,
-                sim_engine=sim_engine,
             )
         results.append(CampaignResult(reference=ref, runs=runs))
     document = _campaign_document(

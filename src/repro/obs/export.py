@@ -363,11 +363,16 @@ def _dominance_flags_agree(document: Mapping) -> None:
             )
 
 
-def _served_within_offered(document: Mapping) -> None:
+def _rows(document: Mapping) -> list:
+    """The ``entries`` rows plus every scenario's controller rows."""
     rows = list(document["entries"])
-    for scenario in document["scenarios"]:
+    for scenario in document.get("scenarios", ()):
         rows.extend(scenario["controllers"].values())
-    for row in rows:
+    return rows
+
+
+def _served_within_offered(document: Mapping) -> None:
+    for row in _rows(document):
         if row["served_task_seconds"] > row["offered_task_seconds"] + 1e-6:
             raise ConfigurationError("served task-seconds exceed offered")
 
@@ -383,11 +388,14 @@ def _energy_adds_up(document: Mapping) -> None:
 
 
 def _water_with_wue(document: Mapping) -> None:
-    for entry in document["entries"]:
-        if (entry["water_liters"] is None) != (entry["wue_l_per_kwh"] is None):
+    for row in _rows(document):
+        if (row.get("water_liters") is None) != (
+            row.get("wue_l_per_kwh") is None
+        ):
+            where = row.get("site") or row.get("scenario") or "controller"
             raise ConfigurationError(
-                f"site {entry['site']!r}: 'water_liters' and "
-                "'wue_l_per_kwh' must be both present or both null"
+                f"{where!r} row: 'water_liters' and 'wue_l_per_kwh' "
+                "must be both present or both null"
             )
 
 
@@ -418,13 +426,17 @@ _STAGE = {"count": COUNT, "total": NUMBER, "mean": NUMBER, "min": NUMBER,
 _TRACE = dict.fromkeys(("schema", "spans", "events", "dropped_spans",
                         "dropped_events", "violations"), COUNT)
 
-#: Per-controller metrics the fault and MPC campaigns share.
+#: Per-controller metrics the fault and MPC campaigns share.  The
+#: energy split and PUE are optional: the committed MPC baseline
+#: predates them.
 _CONTROLLER_ROW = {
     "violation_seconds": NON_NEGATIVE, "energy_joules": NON_NEGATIVE,
     "energy_overhead_vs_oracle": nullable(NUMBER),
     "offered_task_seconds": NON_NEGATIVE,
     "served_task_seconds": NON_NEGATIVE, "shed_task_seconds": NON_NEGATIVE,
     "reconfigurations": COUNT, "suppressed": COUNT, "max_t_cpu": NUMBER,
+    "server_energy_joules": Field("number", ge=0.0, optional=True),
+    "pue": Field("number", ge=1.0, nullable=True, optional=True),
 }
 _RESILIENCE_ROW = {
     **_CONTROLLER_ROW, "violation_seconds_after_grace": NON_NEGATIVE,
@@ -432,7 +444,12 @@ _RESILIENCE_ROW = {
     "sensors_quarantined": COUNT,
 }
 _MPC_ROW = {**_CONTROLLER_ROW, "on_set_changes": COUNT,
-            "horizon_solves": COUNT, "fallbacks": COUNT, "precools": COUNT}
+            "horizon_solves": COUNT, "fallbacks": COUNT, "precools": COUNT,
+            # null without a cooling tower; paired by _water_with_wue
+            "water_liters": Field("number", ge=0.0, nullable=True,
+                                  optional=True),
+            "wue_l_per_kwh": Field("number", ge=0.0, nullable=True,
+                                   optional=True)}
 
 SCHEMAS: dict[str, Kind] = {kind.name: kind for kind in (
     Kind(
@@ -586,6 +603,7 @@ SCHEMAS: dict[str, Kind] = {kind.name: kind for kind in (
             _references("dominance", "scenario", "scenarios", "name"),
             _dominance_flags_agree,
             _served_within_offered,
+            _water_with_wue,
         ),
         context=("machines", "horizon"),
         gates=(

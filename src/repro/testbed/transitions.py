@@ -120,7 +120,7 @@ def measure_transition(
         if on_idx.size:
             peak_t = max(peak_t, float(np.max(sim.t_cpu[on_idx])))
         if elapsed > max(boot + 5.0 * dt, 10.0 * dt):
-            d_cpu, d_box, d_room = sim._derivatives(
+            d_cpu, d_box, d_room = sim._derivatives_numpy(
                 sim.t_cpu, sim.t_box, sim.t_room, sim.t_ac
             )
             if (

@@ -14,20 +14,15 @@ Two ways to evaluate the simulated testbed:
   solves a whole batch of operating points in one vectorized pass and
   returns a :class:`SteadyStateBatch`.
 
-The transient integrator has two engines selected at construction time:
-
-- ``engine="numpy"`` (default) evaluates the derivatives as pure array
-  arithmetic and folds the four RK4 stages into stacked-state updates —
-  no Python-level per-node iteration;
-- ``engine="python"`` keeps the original per-node loop as the readable
-  reference implementation.
-
-Both engines produce **bit-identical** trajectories: the vectorized
-kernel preserves the exact expression structure (and accumulation order)
-of the loop, so every elementwise IEEE operation rounds the same way.
-``tests/test_simulation_engine.py`` pins this equivalence on randomized
-scenarios, including off nodes, saturated coolers, set-point steps, and
-active fault injectors.
+The transient integrator evaluates the derivatives as pure array
+arithmetic and folds the four RK4 stages into stacked-state updates — no
+Python-level per-node iteration.  It keeps the exact expression structure
+(and accumulation order) of the per-node loop it replaced, so every
+elementwise IEEE operation rounds the same way.  That loop is kept as
+the reference in ``tests/oracles/simulation.py``, and
+``tests/test_simulation_engine.py`` pins the trajectories bit-identical
+on randomized scenarios, including off nodes, saturated coolers,
+set-point steps, and active fault injectors.
 
 Tests verify that the integrator converges to the algebraic solution.
 """
@@ -50,9 +45,6 @@ from repro.thermal.room import MachineRoom
 #: fans stopped there is no forced air flow; a small natural-convection term
 #: lets an off machine relax to room temperature instead of staying hot.
 OFF_NODE_CONDUCTANCE = 1.0
-
-#: Transient-integration engines (see the module docstring).
-ENGINES = ("numpy", "python")
 
 
 @dataclass(frozen=True)
@@ -167,10 +159,6 @@ class RoomSimulation:
     with :meth:`step` / :meth:`run` or asks for the long-run operating
     point directly with :meth:`steady_state` /
     :meth:`steady_state_many`.
-
-    ``engine`` selects the derivative/RK4 implementation: ``"numpy"``
-    (vectorized, default) or ``"python"`` (per-node loop reference).
-    Both are bit-identical; see the module docstring.
     """
 
     def __init__(
@@ -178,21 +166,14 @@ class RoomSimulation:
         room: MachineRoom,
         cooler: CoolingUnit,
         initial_temperature: float = units.celsius_to_kelvin(22.0),
-        engine: str = "numpy",
     ) -> None:
         if abs(cooler.supply_flow - room.supply_flow) > 1e-9:
             raise ConfigurationError(
                 "cooler and room disagree on the supply flow: "
                 f"{cooler.supply_flow} vs {room.supply_flow} m^3/s"
             )
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown simulation engine {engine!r} "
-                f"(choose one of {ENGINES})"
-            )
         self.room = room
         self.cooler = cooler
-        self.engine = engine
         n = room.node_count
         self.t_cpu = np.full(n, initial_temperature, dtype=float)
         self.t_box = np.full(n, initial_temperature, dtype=float)
@@ -208,8 +189,8 @@ class RoomSimulation:
         self.fault_injector = None
         # Per-node constants of the vectorized kernels.  The room is
         # frozen, so these never change after construction.  _flow_c
-        # carries flow * C_AIR pre-multiplied: the loop engine computes
-        # the same left-associated product inline.
+        # carries flow * C_AIR pre-multiplied: the reference loop
+        # computes the same left-associated product inline.
         self._theta = np.array([nd.theta for nd in room.nodes])
         self._nu_cpu = np.array([nd.nu_cpu for nd in room.nodes])
         self._nu_box = np.array([nd.nu_box for nd in room.nodes])
@@ -232,8 +213,8 @@ class RoomSimulation:
         self._rf_eff = np.empty(n)
         self._mask_f = np.empty(n)
         # bypass_flow(on_mask) * C_AIR; the cached value comes from
-        # MachineRoom's own generator sum so it matches the loop engine
-        # bit for bit.
+        # MachineRoom's own generator sum so it matches the reference
+        # loop bit for bit.
         self._bypass_c = 0.0
         # Preallocated stacked-state and scratch buffers of the RK4 hot
         # path (all stage arithmetic runs through out= with no
@@ -322,49 +303,6 @@ class RoomSimulation:
     # Transient integration
     # ------------------------------------------------------------------ #
 
-    def _derivatives(
-        self, t_cpu: np.ndarray, t_box: np.ndarray, t_room: float, t_ac: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Thermal-state time derivatives under the configured engine."""
-        if self.engine == "numpy":
-            return self._derivatives_numpy(t_cpu, t_box, t_room, t_ac)
-        return self._derivatives_python(t_cpu, t_box, t_room, t_ac)
-
-    def _derivatives_python(
-        self, t_cpu: np.ndarray, t_box: np.ndarray, t_room: float, t_ac: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        d_cpu = np.zeros_like(t_cpu)
-        d_box = np.zeros_like(t_box)
-        room_heat = 0.0
-        for i, node in enumerate(self.room.nodes):
-            exchange = (t_cpu[i] - t_box[i]) * node.theta
-            if self.on_mask[i]:
-                t_in = (
-                    node.supply_fraction * t_ac
-                    + (1.0 - node.supply_fraction) * t_room
-                )
-                d_cpu[i] = (self.powers[i] - exchange) / node.nu_cpu
-                d_box[i] = (
-                    exchange
-                    + node.flow * units.C_AIR * (t_in - t_box[i])
-                ) / node.nu_box
-                room_heat += node.flow * units.C_AIR * (t_box[i] - t_room)
-            else:
-                # Fans off: only a weak passive coupling to the room.
-                leak = OFF_NODE_CONDUCTANCE * (t_room - t_box[i])
-                d_cpu[i] = -exchange / node.nu_cpu
-                d_box[i] = (exchange + leak) / node.nu_box
-                room_heat -= leak
-        room_heat += (
-            self.room.bypass_flow(self.on_mask)
-            * units.C_AIR
-            * (t_ac - t_room)
-        )
-        room_heat += self.room.envelope_conductance * (
-            self.room.t_env - t_room
-        )
-        return d_cpu, d_box, room_heat / self.room.nu_room
-
     def _refresh_mask_constants(self) -> None:
         """Rebuild the mask-dependent constant arrays if the on-mask
         changed since the last derivative evaluation."""
@@ -386,11 +324,12 @@ class RoomSimulation:
     def _derivatives_numpy(
         self, t_cpu: np.ndarray, t_box: np.ndarray, t_room: float, t_ac: float
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        # Same physics as _derivatives_python, as whole-array
-        # expressions.  Each rewrite is rounding-exact: multiplication
-        # is commutative bit for bit, `0.0 - x` == `-x`, and
-        # `c * (a - b)` == `-(c * (b - a))` (all modulo the sign of
-        # zero, which no downstream sum can observe).
+        # Same physics as the per-node reference loop
+        # (tests/oracles/simulation.py), as whole-array expressions.
+        # Each rewrite is rounding-exact: multiplication is commutative
+        # bit for bit, `0.0 - x` == `-x`, and `c * (a - b)` ==
+        # `-(c * (b - a))` (all modulo the sign of zero, which no
+        # downstream sum can observe).
         self._refresh_mask_constants()
         on = self.on_mask
         exchange = (t_cpu - t_box) * self._theta
@@ -401,7 +340,7 @@ class RoomSimulation:
         ) / self._nu_box
         contrib = self._coupling * (t_box - t_room)
         # Strict left fold: np.sum's pairwise reduction would differ
-        # from the loop engine's sequential accumulation in the last ulp.
+        # from the reference loop's sequential sum in the last ulp.
         room_heat = float(np.add.accumulate(contrib)[-1])
         room_heat += self._bypass_c * (t_ac - t_room)
         room_heat += self.room.envelope_conductance * (
@@ -409,47 +348,12 @@ class RoomSimulation:
         )
         return d_cpu, d_box, room_heat / self.room.nu_room
 
-    def _advance_python(self, dt: float, t_ac: float) -> None:
-        def deriv(state: tuple[np.ndarray, np.ndarray, float]):
-            return self._derivatives_python(state[0], state[1], state[2], t_ac)
-
-        s0 = (self.t_cpu, self.t_box, self.t_room)
-        k1 = deriv(s0)
-        s1 = (
-            self.t_cpu + 0.5 * dt * k1[0],
-            self.t_box + 0.5 * dt * k1[1],
-            self.t_room + 0.5 * dt * k1[2],
-        )
-        k2 = deriv(s1)
-        s2 = (
-            self.t_cpu + 0.5 * dt * k2[0],
-            self.t_box + 0.5 * dt * k2[1],
-            self.t_room + 0.5 * dt * k2[2],
-        )
-        k3 = deriv(s2)
-        s3 = (
-            self.t_cpu + dt * k3[0],
-            self.t_box + dt * k3[1],
-            self.t_room + dt * k3[2],
-        )
-        k4 = deriv(s3)
-        self.t_cpu = self.t_cpu + dt / 6.0 * (
-            k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]
-        )
-        self.t_box = self.t_box + dt / 6.0 * (
-            k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]
-        )
-        self.t_room = self.t_room + dt / 6.0 * (
-            k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]
-        )
-        self._last_stage = (k4[0], k4[1], k4[2])
-
     def _advance_numpy(self, dt: float, t_ac: float) -> None:
         # One stacked state vector y = [t_cpu, t_box, t_room]; the four
         # RK4 stages become whole-array arithmetic on preallocated
         # buffers.  The stage updates keep the expression shapes of the
-        # loop engine (scalar 0.5 * dt first, then array multiply, then
-        # add), so every element rounds identically; `out=` changes
+        # reference loop (scalar 0.5 * dt first, then array multiply,
+        # then add), so every element rounds identically; `out=` changes
         # where results land, never how they round.
         n = self._n
         self._refresh_mask_constants()
@@ -475,7 +379,7 @@ class RoomSimulation:
         add(y0, yt, out=yt)
         self._stage_kernel(self._yt_v, t_ac, self._k4_v)
         # y0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), left-associated
-        # exactly like the loop engine's update.
+        # exactly like the reference loop's update.
         mul(k2, 2.0, out=yt)
         add(k1, yt, out=yt)
         mul(k3, 2.0, out=k1)
@@ -544,10 +448,7 @@ class RoomSimulation:
         t_ac, p_ac = self.cooler.step(self.t_room, dt)
         self.t_ac = t_ac
         self._last_p_ac = p_ac
-        if self.engine == "numpy":
-            self._advance_numpy(dt, t_ac)
-        else:
-            self._advance_python(dt, t_ac)
+        self._advance_numpy(dt, t_ac)
         self.time += dt
         obs.count("simulation.steps")
         if _trace._tracing:
@@ -562,19 +463,12 @@ class RoomSimulation:
         wd = _watchdog._active
         if wd is not None:
             wd.check_simulation(self)
-        if self.engine == "numpy":
-            # One fused probe instead of two isfinite scans: any NaN or
-            # Inf in the stacked state (t_cpu, t_box, and t_room alike)
-            # poisons the dot product, and squared Kelvin temperatures
-            # cannot overflow on their own.
-            yt = self._yt
-            finite = bool(np.isfinite(np.dot(yt, yt)))
-        else:
-            finite = bool(
-                np.all(np.isfinite(self.t_cpu))
-                and np.all(np.isfinite(self.t_box))
-                and np.isfinite(self.t_room)
-            )
+        # One fused probe instead of two isfinite scans: any NaN or Inf
+        # in the stacked state (t_cpu, t_box, and t_room alike) poisons
+        # the dot product, and squared Kelvin temperatures cannot
+        # overflow on their own.
+        yt = self._yt
+        finite = bool(np.isfinite(np.dot(yt, yt)))
         if not (
             finite
             and units.MIN_PHYSICAL_TEMPERATURE

@@ -104,6 +104,73 @@ def test_numeric_fields_reject_bools_and_non_finite_values(kind):
     assert not accepted
 
 
+#: Controller-row keys the campaigns emit that the schema names as
+#: optional (the committed MPC baseline predates them).
+CAMPAIGN_ROW_KEYS = {
+    "resilience": ("pue", "server_energy_joules"),
+    "mpc": ("pue", "server_energy_joules", "water_liters", "wue_l_per_kwh"),
+}
+
+
+@pytest.fixture(scope="module")
+def quick_campaign_documents():
+    from repro.control.campaign import run_mpc_campaign
+    from repro.faults.campaign import run_campaign
+
+    return {
+        "resilience": run_campaign(seed=2012, n_machines=6, quick=True)[1],
+        "mpc": run_mpc_campaign(seed=2012, n_machines=6, quick=True)[1],
+    }
+
+
+def _paths_to(node, keys, path=()):
+    """Paths to every map value stored under one of ``keys``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in keys:
+                yield path + (key,)
+            yield from _paths_to(value, keys, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths_to(value, keys, path + (index,))
+
+
+@pytest.mark.parametrize("kind", sorted(CAMPAIGN_ROW_KEYS))
+def test_campaign_rows_reject_bools_and_non_finite_values(
+    kind, quick_campaign_documents
+):
+    fresh = quick_campaign_documents[kind]
+    validate = SCHEMAS[kind].validate
+    validate(fresh)
+    paths = list(_paths_to(fresh, CAMPAIGN_ROW_KEYS[kind]))
+    assert {path[-1] for path in paths} == set(CAMPAIGN_ROW_KEYS[kind])
+    accepted = []
+    for path in paths:
+        for bad in (math.nan, math.inf, -math.inf, True, False):
+            document = copy.deepcopy(fresh)
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = bad
+            try:
+                validate(document)
+            except ConfigurationError:
+                continue
+            accepted.append((path, bad))
+    assert not accepted
+
+
+def test_mpc_rows_pair_water_with_wue(quick_campaign_documents):
+    document = copy.deepcopy(quick_campaign_documents["mpc"])
+    row = document["entries"][0]
+    assert row["water_liters"] is None and row["wue_l_per_kwh"] is None
+    row["water_liters"] = 12.0
+    with pytest.raises(ConfigurationError, match="both present or both"):
+        SCHEMAS["mpc"].validate(document)
+    row["wue_l_per_kwh"] = 0.5
+    SCHEMAS["mpc"].validate(document)
+
+
 class TestBenchCheckGateHole:
     """A result that drops a gated metric the baseline has must fail."""
 

@@ -2,7 +2,8 @@
 
 Covers the scale PR's contract:
 
-- the numpy pipeline and the pure-Python reference build **bit-identical**
+- the numpy pipeline and the pure-Python reference build
+  (``tests/oracles/consolidation_build.py``) produce **bit-identical**
   tables (including degenerate inputs: duplicated ``b`` velocities and
   simultaneous crossings) and identical query answers;
 - the gap-aware "just after the event" nudge resolves near-coincident
@@ -34,10 +35,7 @@ from repro.errors import ConfigurationError, InfeasibleError
 from repro.obs import MetricsRegistry
 from repro.workload.traces import step_trace
 from tests.conftest import make_system_model
-
-#: Table attributes that must agree byte for byte across engines.
-_TABLES = ("_event_t", "_event_p", "_event_q", "_times", "_orders_mat",
-           "_tab_row", "_tab_k", "_tab_lmax")
+from tests.oracles.consolidation_build import TABLES, LoopBuildIndex
 
 
 def _random_spec(rng, n, duplicate_b=True, with_bounds=True):
@@ -58,9 +56,9 @@ def _random_spec(rng, n, duplicate_b=True, with_bounds=True):
 
 
 def _assert_engines_identical(spec, loads):
-    fast = ConsolidationIndex(engine="numpy", **spec)
-    slow = ConsolidationIndex(engine="python", **spec)
-    for name in _TABLES:
+    fast = ConsolidationIndex(**spec)
+    slow = LoopBuildIndex(**spec)
+    for name in TABLES:
         assert np.array_equal(
             getattr(fast, name), getattr(slow, name)
         ), name
@@ -176,11 +174,11 @@ class TestGapAwareNudge:
         assert times[0] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < times[1] - times[0] < 1e-9
 
-    @pytest.mark.parametrize("engine", ["numpy", "python"])
-    def test_order_between_near_coincident_events(self, engine):
-        index = ConsolidationIndex(
-            self.PAIRS, w2=1.0, rho=1.0, engine=engine
-        )
+    @pytest.mark.parametrize(
+        "build", [ConsolidationIndex, LoopBuildIndex], ids=["numpy", "python"]
+    )
+    def test_order_between_near_coincident_events(self, build):
+        index = build(self.PAIRS, w2=1.0, rho=1.0)
         timeline = index.order_timeline()
         # Just after t = 1.0 (and before the second crossing), p2 is
         # still above p3; just after the second crossing they swap.
@@ -353,7 +351,7 @@ class TestPersistence:
     def test_round_trip_is_identical(self, index, tmp_path, rng):
         path = index.save(tmp_path / "idx.npz")
         loaded = ConsolidationIndex.load(path)
-        for name in _TABLES:
+        for name in TABLES:
             assert np.array_equal(
                 getattr(index, name), getattr(loaded, name)
             ), name
@@ -451,7 +449,7 @@ class TestOptimizerIndexCache:
         assert counters["optimizer.index_cache_misses"] == 1
         assert counters["optimizer.index_cache_hits"] == 1
         assert counters["optimizer.index_builds"] == 1
-        for name in _TABLES:
+        for name in TABLES:
             assert np.array_equal(
                 getattr(first, name), getattr(second, name)
             ), name

@@ -23,7 +23,7 @@ def plant(small_testbed) -> LinearizedPlant:
 
 def _engine_rollout(testbed, plant, state, powers, t_ac, mask):
     """The ground-truth RK4 engine over one control interval."""
-    sim = RoomSimulation(testbed.room, testbed.cooler, engine="numpy")
+    sim = RoomSimulation(testbed.room, testbed.cooler)
     n = plant.n
     sim.on_mask = np.asarray(mask, dtype=bool)
     sim.t_cpu = np.array(state[:n], dtype=float)

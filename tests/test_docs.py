@@ -121,14 +121,13 @@ class TestObservabilityDocument:
         assert "observability.md" in (REPO / "docs" / "api.md").read_text()
 
     def test_simulation_performance_section_is_current(self):
-        """The engine knob and bench schema docs must track the code."""
+        """The oracle and bench schema docs must track the code."""
         from repro import obs
-        from repro.thermal.simulation import ENGINES
 
         text = (REPO / "docs" / "observability.md").read_text()
         assert "## Simulation performance" in text
-        for engine in ENGINES:
-            assert f'engine="{engine}"' in text, engine
+        assert "tests/oracles/simulation.py" in text
+        assert (REPO / "tests" / "oracles" / "simulation.py").exists()
         assert "steady_state_many" in text
         assert "validate_simulation_speed" in text
         assert obs.validate_simulation_speed  # the documented validator

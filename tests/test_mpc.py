@@ -181,6 +181,14 @@ class TestDemandScenarios:
         with pytest.raises(ConfigurationError):
             demand_scenarios(0.0)
 
+    def test_demand_loop_rejects_bad_timesteps(self, ctx):
+        scenario = demand_scenarios(ctx.testbed.total_capacity, quick=True)[0]
+        with pytest.raises(ConfigurationError, match="sim_dt"):
+            run_demand_loop(
+                ctx.testbed, RuntimeController(ctx.optimizer), scenario,
+                control_dt=10.0, sim_dt=20.0,
+            )
+
 
 class TestFlashCrowdDominance:
     """The acceptance gate in miniature (quick traces, two runs)."""

@@ -1,10 +1,10 @@
-"""Engine equivalence: the vectorized RK4 stepper vs the Python loop.
+"""Stepper equivalence: the vectorized RK4 stepper vs the Python loop.
 
-The contract (ISSUE 5, following the PR 3 consolidation precedent): the
-``engine="numpy"`` stepper produces **bit-identical** trajectories to
-``engine="python"`` on every seeded scenario — off nodes, saturated
-cooler modes, set-point steps, and all three fault-injector seams.
-Every comparison here is exact (``==`` / ``array_equal``), never
+The contract: the shipped stepper produces **bit-identical**
+trajectories to the per-node loop oracle (``tests/oracles/
+simulation.py``) on every seeded scenario — off nodes, saturated cooler
+modes, set-point steps, and all three fault-injector seams.  Every
+comparison here is exact (``==`` / ``array_equal``), never
 ``allclose``.
 """
 
@@ -20,19 +20,21 @@ from repro.testbed.rack import (
     build_room,
     build_testbed,
 )
-from repro.thermal.simulation import ENGINES, RoomSimulation
+from repro.thermal.simulation import RoomSimulation
+from tests.oracles.simulation import LoopSimulation, derivatives
 
 
 def engine_pair(config=None, seed=7):
-    """Two simulations over the *same* room, one per engine.
+    """Two simulations over the *same* room: the shipped stepper and
+    the loop oracle.
 
     The room is immutable so it can be shared; each simulation gets its
     own cooling unit (the PI loop is stateful).
     """
     config = config or TestbedConfig(n_machines=8)
     room = build_room(config, np.random.default_rng(seed))
-    fast = RoomSimulation(room, build_cooler(config), engine="numpy")
-    loop = RoomSimulation(room, build_cooler(config), engine="python")
+    fast = RoomSimulation(room, build_cooler(config))
+    loop = LoopSimulation(room, build_cooler(config))
     return fast, loop
 
 
@@ -139,26 +141,25 @@ class TestTrajectoryEquivalence:
         t_box = rng.uniform(290.0, 320.0, 8)
         for sim in (fast, loop):
             sim.set_node_powers(powers, on_mask=on_mask)
-        d_fast = fast._derivatives(t_cpu, t_box, 300.0, 288.0)
-        d_loop = loop._derivatives(t_cpu, t_box, 300.0, 288.0)
+        d_fast = fast._derivatives_numpy(t_cpu, t_box, 300.0, 288.0)
+        d_loop = derivatives(loop, t_cpu, t_box, 300.0, 288.0)
         assert np.array_equal(d_fast[0], d_loop[0])
         assert np.array_equal(d_fast[1], d_loop[1])
         assert d_fast[2] == d_loop[2]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_settling_reuses_final_stage_derivatives(self, engine):
-        # Regression: run_until_steady used to re-evaluate _derivatives
-        # after every step just to measure settle rates.  The stepper's
-        # fourth-stage (k4) derivatives are that signal; no extra
-        # evaluation may happen during settling.
+    def test_settling_reuses_final_stage_derivatives(self):
+        # Regression: run_until_steady used to re-evaluate the
+        # derivatives after every step just to measure settle rates.
+        # The stepper's fourth-stage (k4) derivatives are that signal;
+        # no extra evaluation may happen during settling.
         config = TestbedConfig(n_machines=8)
         room = build_room(config, np.random.default_rng(7))
-        sim = RoomSimulation(room, build_cooler(config), engine=engine)
+        sim = RoomSimulation(room, build_cooler(config))
         powers, on_mask = random_inputs(8, 16)
         sim.set_node_powers(powers, on_mask=on_mask)
         calls = []
-        original = sim._derivatives
-        sim._derivatives = lambda *a, **k: (
+        original = sim._derivatives_numpy
+        sim._derivatives_numpy = lambda *a, **k: (
             calls.append(1) or original(*a, **k)
         )
         sim.run_until_steady(max_duration=5000.0)
@@ -204,7 +205,7 @@ def seam_scenario():
 class TestFaultInjectorSeams:
     def test_simulation_seam_trajectories_identical(self):
         # Seam 1: the stepper hook.  ac_derate halves q_max mid-run and
-        # ac_setpoint_drift shifts the actuator set point; both engines
+        # ac_setpoint_drift shifts the actuator set point; both steppers
         # must integrate through the disturbance identically.
         fast, loop = engine_pair()
         powers, on_mask = random_inputs(8, 13)
@@ -244,7 +245,7 @@ class TestFaultInjectorSeams:
     def test_set_point_command_seam_identical(self):
         # Seam 3: the command path.  With drift active, set_set_point
         # routes through the injector; the effective actuator value and
-        # the subsequent trajectory must match across engines.
+        # the subsequent trajectory must match across steppers.
         fast, loop = engine_pair()
         powers, on_mask = random_inputs(8, 15)
         for sim in (fast, loop):
@@ -369,26 +370,6 @@ class TestSteadyStateMany:
 
 
 class TestEngineSelection:
-    def test_numpy_is_the_default(self):
-        fast, _ = engine_pair()
-        assert fast.engine == "numpy"
-        config = TestbedConfig(n_machines=4)
-        room = build_room(config, np.random.default_rng(1))
-        assert RoomSimulation(room, build_cooler(config)).engine == "numpy"
-
-    def test_unknown_engine_rejected(self):
-        config = TestbedConfig(n_machines=4)
-        room = build_room(config, np.random.default_rng(1))
-        with pytest.raises(ConfigurationError, match="unknown simulation"):
-            RoomSimulation(room, build_cooler(config), engine="fortran")
-        assert ENGINES == ("numpy", "python")
-
-    def test_build_testbed_threads_engine(self):
-        bed = build_testbed(TestbedConfig(n_machines=4), sim_engine="python")
-        assert bed.simulation.engine == "python"
-        bed = build_testbed(TestbedConfig(n_machines=4))
-        assert bed.simulation.engine == "numpy"
-
     def test_evaluate_many_matches_evaluate(self):
         from repro.core.policies import PolicyDecision
 
